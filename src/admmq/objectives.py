@@ -75,12 +75,16 @@ class QuadraticObjective(SmoothObjective):
             raise ValueError(f"Q must be square, got shape {Q.shape}")
         if b.shape != (Q.shape[0],):
             raise ValueError(f"b has shape {b.shape}, expected ({Q.shape[0]},)")
+        c = float(c)
+        for name, arr in (("Q", Q), ("b", b), ("c", c)):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError(f"{name} must be finite")
         asym = np.max(np.abs(Q - Q.T), initial=0.0)
         if asym > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
             raise ValueError("Q must be symmetric")
         self.Q = 0.5 * (Q + Q.T)  # exact symmetry
         self.b = b
-        self.c = float(c)
+        self.c = c
         self.dim = Q.shape[0]
         try:
             eigs = np.linalg.eigvalsh(self.Q)

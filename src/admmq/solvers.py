@@ -16,7 +16,7 @@ Six methods share one driver:
 
 Each method is available as a single-step transition function plus the
 ``run`` driver, which records a :class:`RunTrace` and the best objective
-over a trailing window.
+over a trailing window, and stops early once the iterate cycles exactly.
 """
 
 from __future__ import annotations
@@ -172,6 +172,11 @@ def augmented_lagrangian(f: SmoothObjective, x, y, lam, rho: float) -> float:
         raise ValueError("x, y, lambda must share one shape")
     d = x - y
     return f.value(x) + float(lam @ d) + 0.5 * rho * float(d @ d)
+
+
+def _iterate_key(state: IterateState) -> bytes:
+    """The bits of (x, y, lambda); equal keys mean a bit-identical iterate."""
+    return state.x.tobytes() + state.y.tobytes() + state.lam.tobytes()
 
 
 def _require_finite(arr: np.ndarray, what: str, iteration: int):
@@ -334,12 +339,15 @@ def admm_r_step(
     rng: RunRng,
     inner: Optional[InnerSolverConfig] = None,
     x_update=None,
-) -> IterateState:
+    return_y_hat: bool = False,
+):
     """Masked iteration: coordinate i refreshes y_i only when its coin lands 1.
 
     Masks are i.i.d. Bernoulli(mask_prob) per coordinate per iteration, drawn
     from the run's seeded stream. Requires the product structure of the set:
     the blended y stays feasible because both candidates are members.
+    With ``return_y_hat`` the result is ``(state, y_hat)``, where ``y_hat`` is
+    the unmasked projection; the mask changes nothing when it equals ``state.y``.
     """
     if x_update is None:
         x_update = build_x_update(f, rho, inner)
@@ -348,7 +356,8 @@ def admm_r_step(
     y_new = np.where(mask, y_hat, state.y)
     x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
     lam_new = state.lam + rho * (x_new - y_new)
-    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+    nxt = IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+    return (nxt, y_hat) if return_y_hat else nxt
 
 
 def admm_s_step(
@@ -483,6 +492,10 @@ class RunResult:
     final_objective: float
     final_step_norm: float = math.inf
     y_stable_iters: int = 0
+    # iterations of the method's step actually executed (0 for gd-proj), and
+    # the period of the bit-exact cycle the iterate entered (0 when none)
+    iterations_run: int = 0
+    cycle_period: int = 0
 
     @property
     def converged(self) -> bool:
@@ -522,6 +535,11 @@ def run(
     iterations (f(y) for the ADMM family, f(x) for pgd / gd-proj), and
     convergence diagnostics. Non-finite iterates raise
     :class:`DivergenceError` with the failing iteration attached.
+
+    Once (x, y, lambda) repeats bit for bit, the rest of the run is periodic
+    and whole cycles of it are skipped; the result, trace included, is
+    identical to the full budget's. ``iterations_run`` and ``cycle_period``
+    report what was executed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
@@ -583,11 +601,25 @@ def run(
 
     trace.record(0, lagrangian_of(state), f_y0, 0.0, 0)
 
+    max_iters, stride = config.max_iters, config.trace_stride
     final_step_norm = math.inf
     y_stable = 0
+    # Exact cycle retirement. Each iterate (x, y, lam) is compared bit for bit
+    # with one saved iterate, which moves to the current one whenever the gap
+    # between them reaches a power of two (Brent, BIT 1980). Once the iterate
+    # repeats with period k, the rest of the run is periodic: one more cycle
+    # runs to record its trace rows, ``skip`` whole cycles are skipped, and at
+    # least ``window`` iterations still run for real, so every field of the
+    # result is what the full budget gives.
+    saved, gap, power = _iterate_key(state), 0, 1
+    period = skip = skipped = 0
+    cycle_rows: list[tuple] = []
+    y_hat = None
+    r = 0
     # overflow on the way to +-inf is the divergence signal, not a bug
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for r in range(1, config.max_iters + 1):
+        while r < max_iters:
+            r += 1
             prev_x, prev_y = state.x, state.y
             try:
                 if method == "admm-q":
@@ -597,8 +629,9 @@ def run(
                         f, dset, state, rho, config.gamma, x_update=x_update
                     )
                 elif method == "admm-r":
-                    state = admm_r_step(
-                        f, dset, state, rho, config.mask_prob, rng, x_update=x_update
+                    state, y_hat = admm_r_step(
+                        f, dset, state, rho, config.mask_prob, rng,
+                        x_update=x_update, return_y_hat=True,
                     )
                 elif method == "admm-s":
                     state = admm_s_step(
@@ -619,9 +652,34 @@ def run(
             dx = state.x - prev_x
             final_step_norm = math.sqrt(float(dx @ dx))
             y_stable = y_stable + 1 if np.array_equal(state.y, prev_y) else 0
-            if r % config.trace_stride == 0 or r == config.max_iters:
+            on_stride = r % stride == 0 or r == max_iters
+            if on_stride or skip:
                 resid = float(np.linalg.norm(state.x - state.y))
-                trace.record(r, lagrangian_of(state), fy, resid, state.inner_iters)
+                row = (lagrangian_of(state), fy, resid, state.inner_iters)
+                if on_stride:
+                    trace.record(r, *row)
+            if skip:
+                cycle_rows.append(row)
+                if len(cycle_rows) == period:
+                    # rows repeat by phase; the last `period` rows are one cycle
+                    for j in range(r - r % stride + stride, r + skip + 1, stride):
+                        trace.record(j, *cycle_rows[(j - r - 1) % period])
+                    if y_stable >= period:  # y was constant over the cycle
+                        y_stable += skip
+                    r += skip
+                    state.r = r
+                    skipped, skip = skip, 0
+            elif saved is not None:
+                gap += 1
+                key = _iterate_key(state)
+                if y_hat is not None and y_hat.tobytes() != prev_y.tobytes():
+                    # the mask decided y; the step was not a function of the state
+                    saved, gap, power = key, 0, 1
+                elif key == saved:
+                    period, saved = gap, None
+                    skip = max(0, ((max_iters - r - config.window) // period - 1) * period)
+                elif gap == power:
+                    saved, gap, power = key, 0, 2 * power
 
     return RunResult(
         method=method,
@@ -630,6 +688,8 @@ def run(
         best_objective=float(min(window)),
         initial_objective=f_y0,
         final_objective=float(window[-1]),
-        final_step_norm=final_step_norm if config.max_iters > 0 else math.inf,
+        final_step_norm=final_step_norm if max_iters > 0 else math.inf,
         y_stable_iters=y_stable,
+        iterations_run=max_iters - skipped,
+        cycle_period=period,
     )

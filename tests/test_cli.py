@@ -170,6 +170,18 @@ class TestSolve:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("field", ["Q", "b"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_instance_exits_two(self, tmp_path, capsys, field, bad):
+        inst = dict(DEMO_1D)
+        inst[field] = [[bad]] if field == "Q" else [bad]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(inst))  # json writes NaN / Infinity tokens
+        code = main(["solve", "--instance", str(path), "--algorithm", "admm-q", "--rho", "2"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"cannot load instance: {field} must be finite" in err
+
     def test_deterministic_given_seed(self, demo_path, capsys):
         argv = ["--instance", demo_path, "--algorithm", "admm-r",
                 "--rho", "2", "--p", "0.5", "--iters", "50", "--seed", "9"]
@@ -283,6 +295,15 @@ class TestSweep:
         hist = out1 / "hist_admm-q_minus_pgd.csv"
         assert hist.exists()
         assert hist.read_text().splitlines()[0] == "bin_left,bin_right,count"
+
+    def test_non_finite_instance_fails(self, tmp_path, capsys):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        (inst_dir / "bad.json").write_text(json.dumps(dict(DEMO_1D, b=[float("nan")])))
+        code = main(["sweep", "--instances", str(inst_dir), "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "b must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_empty_instance_dir_fails(self, tmp_path):
         (tmp_path / "empty").mkdir()

@@ -63,6 +63,18 @@ class TestQuadratic:
         with pytest.raises(ValueError, match="symmetric"):
             QuadraticObjective(Q=[[1.0, 2.0], [0.0, 1.0]], b=[0.0, 0.0])
 
+    @pytest.mark.parametrize("field", ["Q", "b", "c"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, field, bad):
+        args = {"Q": np.eye(2), "b": np.zeros(2), "c": 0.0}
+        if field == "c":
+            args["c"] = bad
+        else:
+            args[field] = args[field].copy()
+            args[field].flat[-1] = bad
+        with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+            QuadraticObjective(**args)
+
     def test_json_round_trip(self):
         f = QuadraticObjective(Q=[[2.0, 0.5], [0.5, 1.0]], b=[1.0, -1.0], c=0.08)
         g = QuadraticObjective.from_json(f.to_json())

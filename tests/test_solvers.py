@@ -1,9 +1,12 @@
+import dataclasses
 import math
+from collections import deque
 
 import numpy as np
 import pytest
 
 from conftest import random_psd_quadratic
+from admmq.experiments import InstanceSpec, generate_instance
 from admmq.objectives import QuadraticObjective, synthetic_logistic
 from admmq.rng import RunRng
 from admmq.sets import binary_set, uniform_lattice
@@ -12,6 +15,7 @@ from admmq.solvers import (
     InnerSolverConfig,
     InnerSolverError,
     IterateState,
+    RunTrace,
     SolverConfig,
     SolverError,
     admm_q_step,
@@ -437,6 +441,200 @@ class TestRun:
         assert dset.contains(res.state.y)
         err = np.linalg.norm(res.state.lam + f.gradient(res.state.x))
         assert err <= 1e-8 * (1 + np.linalg.norm(res.state.lam))
+
+
+def full_budget_record(method, f, dset, config):
+    """Every iteration of the full-budget loop, built from the public steps.
+
+    Returns the initial trace row, f(y0), one ``(state, trace row, scored
+    objective, step norm, y-stable count)`` per iteration, and the error that
+    ended the loop early (or None). The scored objective of a quadratic uses
+    the same expression as ``run``, so the two agree bit for bit.
+    """
+    rng = RunRng(config.seed)
+    state = initial_state(dset, config, rng)
+    rho = config.rho
+    if isinstance(f, QuadraticObjective):
+        def fval(z):
+            return 0.5 * float(z @ f.Q @ z) + float(f.b @ z) + f.c
+    else:
+        fval = f.value
+    if method == "iadmm-q":
+        inner = InnerSolverConfig(mode="gd")
+        x_update = build_x_update(f, rho, inner, gamma=config.gamma)
+    elif method != "pgd":
+        x_update = build_x_update(f, rho, config.inner)
+
+    def row_of(s, fy):
+        if method == "pgd":
+            lag = f.value(s.x)
+        else:
+            lag = augmented_lagrangian(f, s.x, s.y, s.lam, rho)
+            if method == "admm-s":
+                lag += config.beta * dset.soft_indicator(s.y)
+        return (lag, fy, float(np.linalg.norm(s.x - s.y)), s.inner_iters)
+
+    f_y0 = f.value(state.y)
+    row0 = row_of(state, f_y0)
+    steps, y_stable = [], 0
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for r in range(1, config.max_iters + 1):
+            prev = state
+            try:
+                if method == "admm-q":
+                    state = admm_q_step(f, dset, state, rho, x_update=x_update)
+                elif method == "iadmm-q":
+                    state = iadmm_q_step(f, dset, state, rho, config.gamma, x_update=x_update)
+                elif method == "admm-r":
+                    state = admm_r_step(
+                        f, dset, state, rho, config.mask_prob, rng, x_update=x_update
+                    )
+                elif method == "admm-s":
+                    state = admm_s_step(f, dset, state, rho, config.beta, x_update=x_update)
+                else:
+                    x = pgd_step(f, dset, state.x, rho)
+                    state = IterateState(x=x, y=x.copy(), lam=state.lam, r=r)
+                fy = fval(state.x if method == "pgd" else state.y)
+                if not (np.all(np.isfinite(state.x)) and np.all(np.isfinite(state.lam))
+                        and math.isfinite(fy)):
+                    raise DivergenceError("non-finite iterate", r)
+            except SolverError as exc:
+                return row0, f_y0, steps, (type(exc), r)
+            dx = state.x - prev.x
+            y_stable = y_stable + 1 if np.array_equal(state.y, prev.y) else 0
+            steps.append((state, row_of(state, fy), fy, math.sqrt(float(dx @ dx)), y_stable))
+    return row0, f_y0, steps, None
+
+
+def assert_same_bits(actual, expected):
+    actual, expected = np.asarray(actual), np.asarray(expected)
+    assert actual.dtype == expected.dtype and actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_run_matches_record(method, f, dset, config, record):
+    """``run`` with ``config`` gives, field by field, the record cut at its budget."""
+    row0, f_y0, steps, error = record
+    budget, stride = config.max_iters, config.trace_stride
+    if error is not None and error[1] <= budget:
+        with pytest.raises(error[0]) as info:
+            run(method, f, dset, config)
+        if error[0] is DivergenceError:
+            assert info.value.iteration == error[1]
+        return None
+    res = run(method, f, dset, config)
+    trace = RunTrace(stride)
+    trace.record(0, *row0)
+    window = deque([f_y0], maxlen=config.window)
+    for r, (_, row, fy, _, _) in enumerate(steps[:budget], start=1):
+        window.append(fy)
+        if r % stride == 0 or r == budget:
+            trace.record(r, *row)
+    state, _, _, step_norm, y_stable = steps[budget - 1]
+    got, want = res.trace.as_arrays(), trace.as_arrays()
+    for col in RunTrace.COLUMNS:
+        assert_same_bits(got[col], want[col])
+    assert_same_bits(res.best_objective, min(window))
+    assert_same_bits(res.final_objective, window[-1])
+    assert_same_bits(res.initial_objective, f_y0)
+    assert_same_bits(res.final_step_norm, step_norm)
+    assert res.y_stable_iters == y_stable
+    for name in ("x", "y", "lam"):
+        assert_same_bits(getattr(res.state, name), getattr(state, name))
+    assert (res.state.r, res.state.inner_iters) == (budget, state.inner_iters)
+    assert res.iterations_run <= budget
+    return res
+
+
+def first_retiring_budget(method, f, dset, config):
+    """Smallest budget up to ``config.max_iters`` at which ``run`` skips iterations.
+
+    Retirement needs ``window + 2 * period`` iterations after the repeat is
+    found, so it is monotone in the budget.
+    """
+    lo, hi = 0, config.max_iters
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if run(method, f, dset, dataclasses.replace(config, max_iters=mid)).iterations_run < mid:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+D16 = generate_instance(InstanceSpec(d=16, v=8, sigma_q_sq=30, seed=1))
+LOGISTIC = synthetic_logistic(200, 8, seed=3)
+
+
+class TestCycleRetirement:
+    """``run`` skips whole cycles of a bit-exact periodic iterate; nothing else changes."""
+
+    @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s", "pgd"])
+    def test_matches_full_budget_loop(self, method):
+        cases = [(D16.objective, D16.dset, rho) for rho in (0.1, 10.0, 1e3, 1e5)]
+        cases.append((LOGISTIC, binary_set(8), 2 * LOGISTIC.lipschitz_L))
+        retired = 0
+        for f, dset, rho in cases:
+            # admm-s at rho=10 enters a period-2 cycle in which y moves, after ~1100 iterations
+            max_budget = 1200 if (method, rho) == ("admm-s", 10.0) else 150
+            config = SolverConfig(
+                rho=rho, max_iters=max_budget, seed=11, mask_prob=0.9, beta=1.0,
+                gamma=0.5 if method == "iadmm-q" else 0.0,
+            )
+            record = full_budget_record(method, f, dset, config)
+            for window in (1, 50):
+                cfg = dataclasses.replace(config, window=window)
+                budgets = {max_budget}
+                res = assert_run_matches_record(method, f, dset, cfg, record)
+                if res is not None and res.iterations_run < max_budget:
+                    # budgets that end just after the cycle starts: the tail
+                    # is window + period + j iterations for j < period
+                    first = first_retiring_budget(method, f, dset, cfg)
+                    budgets.update(range(first - 1, first + res.cycle_period + 1))
+                    retired += 1
+                for budget in sorted(budgets):
+                    for stride in (1, 7, budget):
+                        assert_run_matches_record(
+                            method, f, dset,
+                            dataclasses.replace(cfg, max_iters=budget, trace_stride=stride),
+                            record,
+                        )
+        assert retired > 0 or method == "iadmm-q"
+
+    @pytest.mark.parametrize("method", ["admm-q", "pgd"])
+    def test_fixed_point_runs_retire(self, method):
+        config = SolverConfig(rho=1e3, max_iters=3000, seed=11)
+        res = run(method, D16.objective, D16.dset, config)
+        assert 0 < res.cycle_period and res.iterations_run < config.max_iters
+        assert res.state.r == config.max_iters
+
+    def test_y_moving_cycle(self):
+        # period-2 pgd orbit 0 -> 1 -> 0: y changes every iteration
+        f = QuadraticObjective(Q=[[1.0]], b=[-0.3])
+        config = SolverConfig(rho=0.5, max_iters=99, window=3, seed=0, init_scale=1e-6)
+        record = full_budget_record("pgd", f, INTS, config)
+        for stride in (1, 7, 99):
+            res = assert_run_matches_record(
+                "pgd", f, INTS, dataclasses.replace(config, trace_stride=stride), record
+            )
+            assert res.cycle_period == 2 and res.iterations_run < 99
+            assert res.y_stable_iters == 0
+
+    def test_masked_repeat_does_not_retire(self):
+        # with y held by the mask, (x, lam) settles to a bit-exact fixed point
+        # while the unmasked projection already points elsewhere; a later coin
+        # moves y from 0 to 3, so that repeat is not a cycle
+        f = QuadraticObjective(Q=[[1.0]], b=[-3.0])
+        config = SolverConfig(
+            rho=2.0, mask_prob=0.02, max_iters=400, window=1, seed=0, init_scale=1e-6
+        )
+        record = full_budget_record("admm-r", f, INTS, config)
+        res = assert_run_matches_record("admm-r", f, INTS, config, record)
+        assert res.state.y[0] == 3.0 and res.iterations_run < 400
+
+    def test_no_cycle_runs_full_budget(self):
+        res = run("admm-q", D16.objective, D16.dset, SolverConfig(rho=10.0, max_iters=100))
+        assert (res.iterations_run, res.cycle_period) == (100, 0)
 
 
 class TestConfigValidation:

@@ -27,7 +27,6 @@ from .objectives import (
     LogisticObjective,
     QuadraticObjective,
     SmoothObjective,
-    estimate_constants,
     synthetic_logistic,
 )
 from .sets import (

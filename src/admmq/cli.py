@@ -31,7 +31,6 @@ from .experiments import (
     run_protocol,
     write_histogram_csv,
 )
-from .objectives import estimate_constants
 from .sets import DiscreteProductSet, ScaledLattice
 from .solvers import METHODS, DivergenceError, SolverConfig, SolverError, run
 
@@ -53,13 +52,17 @@ def _round12(v):
     return v
 
 
-def _json_out(payload: dict, out: str | None, fmt: str = "json"):
-    payload = {k: _round12(v) for k, v in payload.items()}
-    if fmt == "csv":
-        lines = ["key,value"] + [f"{k},{json.dumps(v)}" for k, v in payload.items()]
-        text = "\n".join(lines) + "\n"
+def _write_payload(payload: dict, out: str | None, fmt: str = "json"):
+    """Write ``payload`` as json, csv or ``key value`` text to ``out`` or stdout."""
+    if fmt == "text":
+        lines = [f"{k} {_fmt(v) if isinstance(v, float) else v}" for k, v in payload.items()]
     else:
-        text = json.dumps(payload) + "\n"
+        payload = {k: _round12(v) for k, v in payload.items()}
+        if fmt == "csv":
+            lines = ["key,value"] + [f"{k},{json.dumps(v)}" for k, v in payload.items()]
+        else:
+            lines = [json.dumps(payload)]
+    text = "\n".join(lines) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -121,7 +124,7 @@ def cmd_solve(args) -> int:
         inst = _load_instance(args.instance)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load instance: {exc}", EXIT_USAGE)
-    L_f, mu = estimate_constants(inst.objective)
+    L_f, mu = inst.objective.lipschitz_L, inst.objective.weak_convexity_mu
     if not args.force and not _feasibility_gate(args, L_f, mu):
         return _fail(
             f"parameters infeasible for {args.algorithm} (L_f={_fmt(L_f)}, mu={_fmt(mu)}, "
@@ -167,23 +170,13 @@ def cmd_solve(args) -> int:
         "stationary": stationary,
         "converged": result.converged,
     }
-    if args.format == "json":
-        _json_out(payload, args.out)
-    else:
-        lines = []
-        for key, val in payload.items():
-            if isinstance(val, float):
-                val = _fmt(val)
-            lines.append(f"{key} {val}")
-        text = "\n".join(lines) + "\n"
-        if args.out:
-            Path(args.out).write_text(text)
-        else:
-            sys.stdout.write(text)
+    _write_payload(payload, args.out, args.format)
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
+    if args.generate < 0 or (not args.instances and args.generate == 0):
+        return _fail("pass --instances DIR or --generate N with N >= 1", EXIT_USAGE)
     instances = []
     if args.instances:
         paths = sorted(Path(args.instances).glob("*.json"))
@@ -219,6 +212,8 @@ def cmd_sweep(args) -> int:
         return _fail(f"bad protocol: {exc}", EXIT_USAGE)
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
+    if not algorithms:
+        return _fail("--algorithms names no algorithm", EXIT_USAGE)
     for alg in algorithms:
         if alg not in METHODS:
             return _fail(f"unknown algorithm {alg!r}", EXIT_USAGE)
@@ -263,7 +258,7 @@ def cmd_check_stationary(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     payload = report.to_dict()
     payload["rho"] = args.rho
-    _json_out(payload, args.out, args.format)
+    _write_payload(payload, args.out, args.format)
     return EXIT_OK
 
 
@@ -292,7 +287,7 @@ def cmd_bruteforce(args) -> int:
         argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)
     except ValueError as exc:
         return _fail(str(exc), EXIT_USAGE)
-    _json_out(
+    _write_payload(
         {"argmin": [_round12(v) for v in argmin.tolist()], "value": value},
         args.out,
         args.format,
@@ -313,7 +308,7 @@ def cmd_verify_conditions(args) -> int:
         payload["gamma"] = args.gamma
         payload["iadmm"] = check_iadmm_condition(args.Lf, args.mu, args.rho, args.gamma)
         payload["iadmm_value"] = iadmm_condition_value(args.Lf, args.mu, args.rho, args.gamma)
-    _json_out(payload, args.out, args.format)
+    _write_payload(payload, args.out, args.format)
     return EXIT_OK
 
 

@@ -19,7 +19,6 @@ __all__ = [
     "SmoothObjective",
     "QuadraticObjective",
     "LogisticObjective",
-    "estimate_constants",
     "synthetic_logistic",
 ]
 
@@ -90,10 +89,8 @@ class QuadraticObjective(SmoothObjective):
             eigs = np.linalg.eigvalsh(self.Q)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"eigendecomposition of Q failed: {exc}") from exc
-        self._eig_min = float(eigs[0])
-        self._eig_max = float(eigs[-1])
-        self.lipschitz_L = max(abs(self._eig_min), abs(self._eig_max))
-        self.weak_convexity_mu = max(0.0, -self._eig_min)
+        self.lipschitz_L = max(abs(float(eigs[0])), abs(float(eigs[-1])))
+        self.weak_convexity_mu = max(0.0, -float(eigs[0]))
 
     def value(self, x) -> float:
         x = self._check_dim(x)
@@ -109,9 +106,6 @@ class QuadraticObjective(SmoothObjective):
 
     def gradient_many(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.Q + self.b
-
-    def extreme_eigenvalues(self) -> tuple[float, float]:
-        return self._eig_min, self._eig_max
 
     def to_dict(self) -> dict:
         d = {"Q": self.Q.tolist(), "b": self.b.tolist()}
@@ -176,11 +170,6 @@ class LogisticObjective(SmoothObjective):
         """Load from CSV whose first column is the +-1 label."""
         data = np.loadtxt(path, delimiter=",", ndmin=2)
         return cls(features=data[:, 1:], labels=data[:, 0])
-
-
-def estimate_constants(obj: SmoothObjective) -> tuple[float, float]:
-    """(L_f, mu) for an objective; built-ins compute these at construction."""
-    return obj.lipschitz_L, obj.weak_convexity_mu
 
 
 def synthetic_logistic(

@@ -104,7 +104,9 @@ class ScaledLattice:
         t = np.asarray(t, dtype=float)
         # round half down: exact midpoints go to the smaller multiple
         k = np.ceil(t / self.v - 0.5)
-        k = np.clip(k, self._k_min(), self._k_max())
+        # not np.clip, which is slower with scalar bounds and, unlike with
+        # array bounds, lets -0.0 past a bound of 0
+        k = np.minimum(np.maximum(k, self._k_min()), self._k_max())
         return self.v * k
 
     def members(self) -> np.ndarray:
@@ -195,21 +197,14 @@ class DiscreteProductSet:
         if len(self.coords) == 0:
             raise ValueError("product set needs at least one coordinate")
         object.__setattr__(self, "coords", tuple(self.coords))
-        # projection is on solver hot paths: precompute a vectorized plan when
-        # every coordinate is the same kind
-        kinds = {type(c) for c in self.coords}
-        if kinds == {ScaledLattice}:
-            plan = (
-                "lattice",
-                np.array([c.v for c in self.coords]),
-                np.array([c._k_min() for c in self.coords]),
-                np.array([c._k_max() for c in self.coords]),
-            )
-        elif kinds == {Binary}:
-            plan = ("binary",)
-        else:
-            plan = ("mixed",)
-        object.__setattr__(self, "_plan", plan)
+        # projection is on solver hot paths: equal scalar sets (frozen, so
+        # hashable) form one group that projects in one vectorized call
+        groups: dict[CoordinateSet, list[int]] = {}
+        for i, c in enumerate(self.coords):
+            groups.setdefault(c, []).append(i)
+        object.__setattr__(
+            self, "_groups", tuple((c, np.array(idx)) for c, idx in groups.items())
+        )
 
     @property
     def dim(self) -> int:
@@ -223,15 +218,14 @@ class DiscreteProductSet:
             raise ValueError(f"{name} must be finite")
         return x
 
-    def _project_fast(self, x: np.ndarray) -> np.ndarray | None:
-        plan = self._plan
-        if plan[0] == "lattice":
-            _, v, k_min, k_max = plan
-            k = np.clip(np.ceil(x / v - 0.5), k_min, k_max)
-            return v * k
-        if plan[0] == "binary":
-            return np.where(x >= 0.0, 1.0, -1.0)
-        return None
+    def _project(self, X: np.ndarray) -> np.ndarray:
+        """Projection of the last axis of ``X``, one call per coordinate group."""
+        if len(self._groups) == 1:
+            return self._groups[0][0].project_values(X)
+        out = np.empty(X.shape)
+        for c, idx in self._groups:
+            out[..., idx] = c.project_values(X[..., idx])
+        return out
 
     def project(self, x, validate: bool = True) -> np.ndarray:
         """Coordinate-wise nearest member of the set (documented tie rule).
@@ -239,27 +233,14 @@ class DiscreteProductSet:
         ``validate=False`` skips the finiteness/shape check; callers on hot
         paths use it after guarding the input themselves.
         """
-        x = self._check_point(x) if validate else x
-        fast = self._project_fast(x)
-        if fast is not None:
-            return fast
-        out = np.empty(self.dim)
-        for i, c in enumerate(self.coords):
-            out[i] = c.project_values(x[i : i + 1])[0]
-        return out
+        return self._project(self._check_point(x) if validate else x)
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
         """Row-wise projection of an (n, dim) array."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) array, got {X.shape}")
-        fast = self._project_fast(X)
-        if fast is not None:
-            return fast
-        out = np.empty_like(X)
-        for i, c in enumerate(self.coords):
-            out[:, i] = c.project_values(X[:, i])
-        return out
+        return self._project(X)
 
     def soft_indicator(self, x) -> float:
         """Euclidean distance from ``x`` to the set."""

@@ -14,9 +14,11 @@ Six methods share one driver:
 * ``gd-proj``  -- unconstrained gradient descent (or a direct solve for
   quadratics) followed by a single projection.
 
-Each method is available as a single-step transition function plus the
-``run`` driver, which records a :class:`RunTrace` and the best objective
-over a trailing window, and stops early once the iterate cycles exactly.
+The four ADMM methods share one iteration and differ only in how y is
+taken from the projection and in the accuracy of the x-solve. Each method
+is available as a single-step transition function plus the ``run`` driver,
+which records a :class:`RunTrace` and the best objective over a trailing
+window, and stops early once the iterate cycles exactly.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -278,10 +280,33 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma, inner)
 
 
-def _project_target(dset: DiscreteProductSet, state: IterateState, rho: float) -> np.ndarray:
-    t = state.x + state.lam / rho
-    _require_finite(t, "projection target", state.r)
-    return t
+def _iadmm_x_update(
+    f: SmoothObjective, rho: float, gamma: float, inner: Optional[InnerSolverConfig]
+):
+    """iadmm-q's x-solver: certified gradient descent, whatever ``gamma`` is."""
+    inner = inner or InnerSolverConfig(mode="gd")
+    if inner.mode == "closed-form":
+        raise ValueError("iadmm-q uses the gradient-descent inner mode")
+    return build_x_update(f, rho, replace(inner, mode="gd"), gamma=gamma)
+
+
+def _admm_step(dset: DiscreteProductSet, state: IterateState, rho: float, x_update, y_rule):
+    """One iteration of the ADMM family; ``y_rule(z, z_proj)`` picks the new y.
+
+    Projects the target ``z = x + lambda/rho``, minimizes the Lagrangian in x
+    at the chosen y, and ascends lambda. Returns the new state and ``z_proj``.
+    """
+    z = state.x + state.lam / rho
+    _require_finite(z, "projection target", state.r)
+    z_proj = dset.project(z, validate=False)
+    y_new = y_rule(z, z_proj)
+    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
+    lam_new = state.lam + rho * (x_new - y_new)
+    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner), z_proj
+
+
+def _take_projection(z, z_proj):
+    return z_proj
 
 
 def admm_q_step(
@@ -297,12 +322,8 @@ def admm_q_step(
     For quadratic objectives the x-block solves the SPD system
     ``(Q + rho I) x = rho y - lambda - b``.
     """
-    if x_update is None:
-        x_update = build_x_update(f, rho, inner)
-    y_new = dset.project(_project_target(dset, state, rho), validate=False)
-    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
-    lam_new = state.lam + rho * (x_new - y_new)
-    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+    x_update = x_update or build_x_update(f, rho, inner)
+    return _admm_step(dset, state, rho, x_update, _take_projection)[0]
 
 
 def iadmm_q_step(
@@ -319,15 +340,8 @@ def iadmm_q_step(
     With ``gamma = 0`` the certificate collapses to the absolute gradient
     floor and the trajectory matches the exact method to inner tolerance.
     """
-    if x_update is None:
-        inner = inner or InnerSolverConfig(mode="gd")
-        if inner.mode == "closed-form":
-            raise ValueError("iadmm-q uses the gradient-descent inner mode")
-        x_update = build_x_update(f, rho, inner, gamma=gamma)
-    y_new = dset.project(_project_target(dset, state, rho), validate=False)
-    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
-    lam_new = state.lam + rho * (x_new - y_new)
-    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+    x_update = x_update or _iadmm_x_update(f, rho, gamma, inner)
+    return _admm_step(dset, state, rho, x_update, _take_projection)[0]
 
 
 def admm_r_step(
@@ -349,14 +363,11 @@ def admm_r_step(
     With ``return_y_hat`` the result is ``(state, y_hat)``, where ``y_hat`` is
     the unmasked projection; the mask changes nothing when it equals ``state.y``.
     """
-    if x_update is None:
-        x_update = build_x_update(f, rho, inner)
+    x_update = x_update or build_x_update(f, rho, inner)
     mask = rng.bernoulli(mask_prob, dset.dim)
-    y_hat = dset.project(_project_target(dset, state, rho), validate=False)
-    y_new = np.where(mask, y_hat, state.y)
-    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
-    lam_new = state.lam + rho * (x_new - y_new)
-    nxt = IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+    nxt, y_hat = _admm_step(
+        dset, state, rho, x_update, lambda z, z_proj: np.where(mask, z_proj, state.y)
+    )
     return (nxt, y_hat) if return_y_hat else nxt
 
 
@@ -374,20 +385,17 @@ def admm_s_step(
     When ``beta/rho`` exceeds the distance to the set the update lands on the
     projection itself and the step coincides with the exact method.
     """
-    if x_update is None:
-        x_update = build_x_update(f, rho, inner)
-    z = _project_target(dset, state, rho)
-    z_tilde = dset.project(z, validate=False)
-    z_d = z_tilde - z
-    dist = float(np.linalg.norm(z_d))
+    x_update = x_update or build_x_update(f, rho, inner)
     radius = beta / rho
-    if dist == 0.0 or radius > dist:
-        y_new = z_tilde
-    else:
-        y_new = z + radius * (z_d / dist)
-    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
-    lam_new = state.lam + rho * (x_new - y_new)
-    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner)
+
+    def soften(z, z_proj):
+        z_d = z_proj - z
+        dist = float(np.linalg.norm(z_d))
+        if dist == 0.0 or radius > dist:
+            return z_proj
+        return z + radius * (z_d / dist)
+
+    return _admm_step(dset, state, rho, x_update, soften)[0]
 
 
 def pgd_step(
@@ -578,18 +586,28 @@ def run(
     else:
         fval = f.value
     x_update = None
-    if method in ("admm-q", "admm-r", "admm-s"):
+    if method == "iadmm-q":
+        x_update = _iadmm_x_update(f, rho, config.gamma, config.inner)
+    elif uses_dual:
         x_update = build_x_update(f, rho, config.inner)
-    elif method == "iadmm-q":
-        inner = config.inner
-        if inner.mode == "auto":
-            inner = InnerSolverConfig(
-                mode="gd",
-                step_size=inner.step_size,
-                max_inner_iters=inner.max_inner_iters,
-                abs_grad_tol=inner.abs_grad_tol,
-            )
-        x_update = build_x_update(f, rho, inner, gamma=config.gamma)
+
+    def pgd(s: IterateState):
+        x_new = pgd_step(f, dset, s.x, rho)
+        return IterateState(x=x_new, y=x_new.copy(), lam=s.lam, r=s.r + 1), None
+
+    # each step returns (state, y_hat); y_hat is admm-r's unmasked projection.
+    # gd-proj has none: it reaches the loop only with a zero budget
+    step = {
+        "admm-q": lambda s: (admm_q_step(f, dset, s, rho, x_update=x_update), None),
+        "iadmm-q": lambda s: (
+            iadmm_q_step(f, dset, s, rho, config.gamma, x_update=x_update), None
+        ),
+        "admm-r": lambda s: admm_r_step(
+            f, dset, s, rho, config.mask_prob, rng, x_update=x_update, return_y_hat=True
+        ),
+        "admm-s": lambda s: (admm_s_step(f, dset, s, rho, config.beta, x_update=x_update), None),
+        "pgd": pgd,
+    }.get(method)
 
     def lagrangian_of(s: IterateState) -> float:
         if not uses_dual:
@@ -614,7 +632,6 @@ def run(
     saved, gap, power = _iterate_key(state), 0, 1
     period = skip = skipped = 0
     cycle_rows: list[tuple] = []
-    y_hat = None
     r = 0
     # overflow on the way to +-inf is the divergence signal, not a bug
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -622,24 +639,7 @@ def run(
             r += 1
             prev_x, prev_y = state.x, state.y
             try:
-                if method == "admm-q":
-                    state = admm_q_step(f, dset, state, rho, x_update=x_update)
-                elif method == "iadmm-q":
-                    state = iadmm_q_step(
-                        f, dset, state, rho, config.gamma, x_update=x_update
-                    )
-                elif method == "admm-r":
-                    state, y_hat = admm_r_step(
-                        f, dset, state, rho, config.mask_prob, rng,
-                        x_update=x_update, return_y_hat=True,
-                    )
-                elif method == "admm-s":
-                    state = admm_s_step(
-                        f, dset, state, rho, config.beta, x_update=x_update
-                    )
-                else:  # pgd
-                    x_new = pgd_step(f, dset, state.x, rho)
-                    state = IterateState(x=x_new, y=x_new.copy(), lam=state.lam, r=r)
+                state, y_hat = step(state)
             except DivergenceError as exc:
                 raise DivergenceError(str(exc), iteration=r) from None
             _require_finite(state.x, "x", r)

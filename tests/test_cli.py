@@ -114,6 +114,16 @@ class TestSolve:
         assert "final_objective 0.08" in out
         assert "stationary True" in out
 
+    def test_text_out_file_equals_stdout(self, demo_path, tmp_path, capsys):
+        argv = ["solve", "--instance", demo_path, "--algorithm", "admm-s",
+                "--rho", "2", "--beta", "0.3", "--iters", "50"]
+        assert main(argv) == 0
+        stdout = capsys.readouterr().out
+        out = tmp_path / "solve.txt"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text() == stdout
+
     def test_admm_r_full_mask_matches(self, demo_path, capsys):
         base = ["--instance", demo_path, "--rho", "2", "--iters", "100", "--seed", "5"]
         a = solve_json(capsys, *base, "--algorithm", "admm-q")
@@ -310,3 +320,19 @@ class TestSweep:
         code = main(["sweep", "--instances", str(tmp_path / "empty"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [],
+            ["--generate", "0"],
+            ["--generate", "-2"],
+            ["--generate", "1", "--algorithms", ","],
+        ],
+        ids=["no-instances", "generate-zero", "generate-negative", "no-algorithms"],
+    )
+    def test_nothing_to_sweep_is_usage_error(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(["sweep", *argv, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()

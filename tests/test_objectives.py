@@ -7,7 +7,6 @@ from conftest import fd_gradient, random_psd_quadratic
 from admmq.objectives import (
     LogisticObjective,
     QuadraticObjective,
-    estimate_constants,
     synthetic_logistic,
 )
 
@@ -86,11 +85,11 @@ class TestQuadratic:
 class TestConstants:
     def test_diagonal_psd(self):
         f = QuadraticObjective(Q=np.diag([1.0, 5.0]), b=np.zeros(2))
-        assert estimate_constants(f) == (5.0, 0.0)
+        assert (f.lipschitz_L, f.weak_convexity_mu) == (5.0, 0.0)
 
     def test_diagonal_indefinite(self):
         f = QuadraticObjective(Q=np.diag([-1.0, 3.0]), b=np.zeros(2))
-        L, mu = estimate_constants(f)
+        L, mu = f.lipschitz_L, f.weak_convexity_mu
         assert L == pytest.approx(3.0)
         assert mu == pytest.approx(1.0)
 
@@ -98,7 +97,7 @@ class TestConstants:
         rng = np.random.default_rng(2)
         for _ in range(10):
             f = random_psd_quadratic(rng, d=5)
-            L, mu = estimate_constants(f)
+            L, mu = f.lipschitz_L, f.weak_convexity_mu
             assert mu == 0.0
             assert L > 0
 
@@ -107,13 +106,13 @@ class TestConstants:
         for _ in range(20):
             A = rng.normal(size=(4, 4))
             f = QuadraticObjective(Q=A + A.T, b=rng.normal(size=4))
-            L, mu = estimate_constants(f)
+            L, mu = f.lipschitz_L, f.weak_convexity_mu
             assert mu <= L + 1e-12
 
     def test_lipschitz_bound_on_random_pairs(self):
         rng = np.random.default_rng(4)
         f = random_psd_quadratic(rng, d=6)
-        L, _ = estimate_constants(f)
+        L = f.lipschitz_L
         for _ in range(1000):
             x, y = rng.normal(size=6), rng.normal(size=6)
             lhs = np.linalg.norm(f.gradient(x) - f.gradient(y))
@@ -122,7 +121,7 @@ class TestConstants:
     def test_descent_inequality(self):
         rng = np.random.default_rng(5)
         f = random_psd_quadratic(rng, d=4)
-        L, _ = estimate_constants(f)
+        L = f.lipschitz_L
         for _ in range(200):
             x, y = rng.normal(size=4) * 2, rng.normal(size=4) * 2
             gap = f.value(x) - f.value(y) - f.gradient(y) @ (x - y)
@@ -179,7 +178,7 @@ class TestLogistic:
 
     def test_convex_with_standard_smoothness_bound(self):
         f = synthetic_logistic(100, 4, seed=2)
-        L, mu = estimate_constants(f)
+        L, mu = f.lipschitz_L, f.weak_convexity_mu
         assert mu == 0.0
         gram_top = np.linalg.eigvalsh(f.features.T @ f.features)[-1]
         assert L == pytest.approx(gram_top / (4 * 100))

@@ -75,6 +75,24 @@ class TestProject:
         for i, row in enumerate(X):
             np.testing.assert_array_equal(batched[i], dset.project(row))
 
+    def test_repeated_coordinate_sets_at_scattered_positions(self):
+        grid = ExplicitGrid(values=(-2.0, -0.5, 0.0, 1.5, 3.0))
+        fine = ScaledLattice(0.5, -40.0, 40.0)
+        coarse = ScaledLattice(2.0, -40.0, 40.0)
+        boxed = ScaledLattice(1.0, 0.0, 3.0)
+        dset = DiscreteProductSet(coords=(
+            grid, Binary(), fine, grid, Binary(), coarse, boxed, grid, fine, Binary(), boxed,
+        ))
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(25, dset.dim)) * 4
+        X[0] = 0.0
+        X[1] = [-0.25, 0.0, 0.25, 0.75, -1e-12, 1.0, 0.5, 2.25, -0.75, 0.0, 3.5]  # ties
+        batched = dset.project_many(X)
+        for i, row in enumerate(X):
+            want = oracle_project(dset, row)
+            np.testing.assert_array_equal(dset.project(row), want)
+            np.testing.assert_array_equal(batched[i], want)
+
 
 @st.composite
 def lattice_sets(draw):

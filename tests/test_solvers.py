@@ -167,6 +167,14 @@ class TestIadmmQStep:
                 inner=InnerSolverConfig(mode="closed-form"),
             )
 
+    @pytest.mark.parametrize("gamma", [0.0, 0.1])
+    def test_run_rejects_closed_form_mode(self, gamma):
+        config = SolverConfig(
+            rho=2.0, gamma=gamma, max_iters=5, inner=InnerSolverConfig(mode="closed-form")
+        )
+        with pytest.raises(ValueError, match="iadmm-q uses the gradient-descent inner mode"):
+            run("iadmm-q", SHIFTED_1D, INTS, config)
+
     def test_inner_budget_enforced(self):
         rng = np.random.default_rng(5)
         f = random_psd_quadratic(rng, d=4)

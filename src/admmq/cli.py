@@ -80,15 +80,12 @@ def _load_instance(path: str) -> GeneratedInstance:
 
 
 def cmd_generate(args) -> int:
-    if args.d < 1:
-        return _fail("--d must be a positive integer", EXIT_USAGE)
-    if args.v <= 0:
-        return _fail("--v must be positive", EXIT_USAGE)
-    if args.sigma_q_sq < 0:
-        return _fail("--sigma-q-sq must be non-negative", EXIT_USAGE)
-    spec = InstanceSpec(
-        d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
-    )
+    try:
+        spec = InstanceSpec(
+            d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
     inst = generate_instance(spec)
     Path(args.out).write_text(json.dumps(inst.to_dict(), sort_keys=True, indent=1) + "\n")
     return EXIT_OK
@@ -121,6 +118,19 @@ def cmd_solve(args) -> int:
     if problem:
         return _fail(problem, EXIT_USAGE)
     try:
+        config = SolverConfig(
+            rho=args.rho,
+            gamma=args.gamma if args.gamma is not None else 0.0,
+            beta=args.beta if args.beta is not None else 1.0,
+            mask_prob=args.p if args.p is not None else 1.0,
+            max_iters=args.iters,
+            seed=args.seed,
+            init_scale=args.init_scale,
+            trace_stride=args.trace_stride,
+        )
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    try:
         inst = _load_instance(args.instance)
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load instance: {exc}", EXIT_USAGE)
@@ -131,16 +141,6 @@ def cmd_solve(args) -> int:
             f"rho={_fmt(args.rho)}); pass --force to run anyway",
             EXIT_INFEASIBLE,
         )
-    config = SolverConfig(
-        rho=args.rho,
-        gamma=args.gamma if args.gamma is not None else 0.0,
-        beta=args.beta if args.beta is not None else 1.0,
-        mask_prob=args.p if args.p is not None else 1.0,
-        max_iters=args.iters,
-        seed=args.seed,
-        init_scale=args.init_scale,
-        trace_stride=args.trace_stride,
-    )
     try:
         result = run(args.algorithm, inst.objective, inst.dset, config)
     except DivergenceError as exc:
@@ -175,8 +175,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.generate < 0 or (not args.instances and args.generate == 0):
-        return _fail("pass --instances DIR or --generate N with N >= 1", EXIT_USAGE)
+    if args.generate < 0 or bool(args.instances) == bool(args.generate):
+        return _fail("pass either --instances DIR or --generate N with N >= 1", EXIT_USAGE)
+    if args.bins < 1:
+        return _fail(f"--bins must be positive, got {args.bins}", EXIT_USAGE)
     instances = []
     if args.instances:
         paths = sorted(Path(args.instances).glob("*.json"))
@@ -188,11 +190,14 @@ def cmd_sweep(args) -> int:
             except (OSError, ValueError, KeyError) as exc:
                 return _fail(f"cannot load {p}: {exc}", EXIT_USAGE)
     else:
-        for i in range(args.generate):
-            spec = InstanceSpec(
-                d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, seed=args.seed + i
-            )
-            instances.append(generate_instance(spec))
+        try:
+            specs = [
+                InstanceSpec(d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, seed=args.seed + i)
+                for i in range(args.generate)
+            ]
+        except ValueError as exc:
+            return _fail(str(exc), EXIT_USAGE)
+        instances = [generate_instance(spec) for spec in specs]
 
     overrides = {}
     if args.protocol:
@@ -296,6 +301,8 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_verify_conditions(args) -> int:
+    if not args.rho > 0:
+        return _fail(f"rho must be positive, got {args.rho}", EXIT_USAGE)
     payload = {
         "L_f": args.Lf,
         "mu": args.mu,

@@ -94,7 +94,7 @@ class QuadraticObjective(SmoothObjective):
 
     def value(self, x) -> float:
         x = self._check_dim(x)
-        return float(0.5 * x @ self.Q @ x + self.b @ x + self.c)
+        return 0.5 * float(x @ self.Q @ x) + float(self.b @ x) + self.c
 
     def gradient(self, x) -> np.ndarray:
         x = self._check_dim(x)

@@ -26,8 +26,8 @@ from __future__ import annotations
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field, replace
-from typing import Optional, Union
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -84,27 +84,18 @@ class DivergenceError(SolverError):
 
 @dataclass
 class InnerSolverConfig:
-    """Settings for the x-block minimization of the augmented Lagrangian.
+    """Settings for the certified gradient-descent x-update.
 
-    ``mode`` is ``"closed-form"`` (quadratics only), ``"gd"``, or ``"auto"``
-    (closed form when the objective is quadratic). ``step_size`` ``"auto"``
-    uses ``2 / (sigma(rho) + rho + L_f)``, the optimal constant step for a
-    ``sigma(rho)``-strongly-convex, ``(rho + L_f)``-smooth function.
+    ``max_inner_iters`` caps the gradient steps per x-update, and
     ``abs_grad_tol`` is an absolute gradient floor that accepts the point
-    even when the relative certificate's right-hand side is 0.
+    even when the relative certificate's right-hand side is 0. The exact
+    x-update of a quadratic, a cached Cholesky solve, ignores both.
     """
 
-    mode: str = "auto"
-    step_size: Union[float, str] = "auto"
     max_inner_iters: int = 2000
     abs_grad_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.mode not in ("auto", "closed-form", "gd"):
-            raise ValueError(f"unknown inner mode {self.mode!r}")
-        if self.step_size != "auto":
-            if not (float(self.step_size) > 0):
-                raise ValueError("step_size must be positive or 'auto'")
         if self.max_inner_iters < 1:
             raise ValueError("max_inner_iters must be positive")
         if not (self.abs_grad_tol > 0):
@@ -190,8 +181,6 @@ class _ClosedFormX:
     """x-update for quadratics: one cached Cholesky solve per call."""
 
     def __init__(self, f: QuadraticObjective, rho: float):
-        if not isinstance(f, QuadraticObjective):
-            raise SolverError("closed-form x-update requires a quadratic objective")
         try:
             self._factor = cho_factor(f.Q + rho * np.eye(f.dim))
         except np.linalg.LinAlgError as exc:
@@ -216,7 +205,9 @@ class _CertifiedGdX:
     bound into the relative-accuracy guarantee
     ``||x - x_star|| <= gamma * min(||x - y||, ||x - x_prev||)``; with
     gamma = 0 only the absolute floor remains and the update is exact to
-    within ``abs_grad_tol / sigma(rho)``.
+    within ``abs_grad_tol / sigma(rho)``. The step ``2 / (sigma + rho + L_f)``
+    is the optimal constant step for a ``sigma``-strongly-convex,
+    ``(rho + L_f)``-smooth function.
     """
 
     def __init__(self, f: SmoothObjective, rho: float, gamma: float, inner: InnerSolverConfig):
@@ -232,10 +223,7 @@ class _CertifiedGdX:
         self._sigma = sigma
         self._tol = inner.abs_grad_tol
         self._max_iters = inner.max_inner_iters
-        if inner.step_size == "auto":
-            self._step = 2.0 / (sigma + rho + f.lipschitz_L)
-        else:
-            self._step = float(inner.step_size)
+        self._step = 2.0 / (sigma + rho + f.lipschitz_L)
 
     def solve(self, y_new, lam, x_prev):
         x = np.array(x_prev, dtype=float, copy=True)
@@ -266,28 +254,18 @@ def build_x_update(
     f: SmoothObjective,
     rho: float,
     inner: Optional[InnerSolverConfig] = None,
-    gamma: float = 0.0,
+    gamma: Optional[float] = None,
 ):
-    """Construct the per-run x-minimizer (factorizations are cached here)."""
-    inner = inner or InnerSolverConfig()
-    mode = inner.mode
-    if mode == "auto":
-        mode = "closed-form" if isinstance(f, QuadraticObjective) else "gd"
-    if gamma > 0 and mode == "closed-form":
-        raise ValueError("the inexact update requires the gradient-descent inner mode")
-    if mode == "closed-form":
+    """Construct the per-run x-minimizer; the method decides which one.
+
+    ``gamma=None`` asks for the exact x-update (admm-q, admm-r, admm-s): a
+    cached Cholesky solve for a quadratic, certified gradient descent at the
+    absolute floor otherwise. A number (iadmm-q) asks for gradient descent
+    certified to relative accuracy ``gamma``.
+    """
+    if gamma is None and isinstance(f, QuadraticObjective):
         return _ClosedFormX(f, rho)
-    return _CertifiedGdX(f, rho, gamma, inner)
-
-
-def _iadmm_x_update(
-    f: SmoothObjective, rho: float, gamma: float, inner: Optional[InnerSolverConfig]
-):
-    """iadmm-q's x-solver: certified gradient descent, whatever ``gamma`` is."""
-    inner = inner or InnerSolverConfig(mode="gd")
-    if inner.mode == "closed-form":
-        raise ValueError("iadmm-q uses the gradient-descent inner mode")
-    return build_x_update(f, rho, replace(inner, mode="gd"), gamma=gamma)
+    return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
 def _admm_step(dset: DiscreteProductSet, state: IterateState, rho: float, x_update, y_rule):
@@ -314,7 +292,6 @@ def admm_q_step(
     dset: DiscreteProductSet,
     state: IterateState,
     rho: float,
-    inner: Optional[InnerSolverConfig] = None,
     x_update=None,
 ) -> IterateState:
     """One exact iteration: project y, minimize the Lagrangian in x, ascend lambda.
@@ -322,7 +299,7 @@ def admm_q_step(
     For quadratic objectives the x-block solves the SPD system
     ``(Q + rho I) x = rho y - lambda - b``.
     """
-    x_update = x_update or build_x_update(f, rho, inner)
+    x_update = x_update or build_x_update(f, rho)
     return _admm_step(dset, state, rho, x_update, _take_projection)[0]
 
 
@@ -332,7 +309,6 @@ def iadmm_q_step(
     state: IterateState,
     rho: float,
     gamma: float,
-    inner: Optional[InnerSolverConfig] = None,
     x_update=None,
 ) -> IterateState:
     """Inexact iteration: the x-block runs gradient descent until certified.
@@ -340,7 +316,7 @@ def iadmm_q_step(
     With ``gamma = 0`` the certificate collapses to the absolute gradient
     floor and the trajectory matches the exact method to inner tolerance.
     """
-    x_update = x_update or _iadmm_x_update(f, rho, gamma, inner)
+    x_update = x_update or build_x_update(f, rho, gamma=gamma)
     return _admm_step(dset, state, rho, x_update, _take_projection)[0]
 
 
@@ -351,7 +327,6 @@ def admm_r_step(
     rho: float,
     mask_prob: float,
     rng: RunRng,
-    inner: Optional[InnerSolverConfig] = None,
     x_update=None,
     return_y_hat: bool = False,
 ):
@@ -363,7 +338,7 @@ def admm_r_step(
     With ``return_y_hat`` the result is ``(state, y_hat)``, where ``y_hat`` is
     the unmasked projection; the mask changes nothing when it equals ``state.y``.
     """
-    x_update = x_update or build_x_update(f, rho, inner)
+    x_update = x_update or build_x_update(f, rho)
     mask = rng.bernoulli(mask_prob, dset.dim)
     nxt, y_hat = _admm_step(
         dset, state, rho, x_update, lambda z, z_proj: np.where(mask, z_proj, state.y)
@@ -377,7 +352,6 @@ def admm_s_step(
     state: IterateState,
     rho: float,
     beta: float,
-    inner: Optional[InnerSolverConfig] = None,
     x_update=None,
 ) -> IterateState:
     """Soft iteration: y moves toward its projection by at most ``beta/rho``.
@@ -385,7 +359,7 @@ def admm_s_step(
     When ``beta/rho`` exceeds the distance to the set the update lands on the
     projection itself and the step coincides with the exact method.
     """
-    x_update = x_update or build_x_update(f, rho, inner)
+    x_update = x_update or build_x_update(f, rho)
     radius = beta / rho
 
     def soften(z, z_proj):
@@ -576,20 +550,8 @@ def run(
         )
 
     uses_dual = method in ("admm-q", "iadmm-q", "admm-r", "admm-s")
-    if isinstance(f, QuadraticObjective):
-        # avoid per-iteration argument validation on the hot path
-        Q, b, c = f.Q, f.b, f.c
-
-        def fval(z):
-            return 0.5 * float(z @ Q @ z) + float(b @ z) + c
-
-    else:
-        fval = f.value
-    x_update = None
-    if method == "iadmm-q":
-        x_update = _iadmm_x_update(f, rho, config.gamma, config.inner)
-    elif uses_dual:
-        x_update = build_x_update(f, rho, config.inner)
+    gamma = config.gamma if method == "iadmm-q" else None
+    x_update = build_x_update(f, rho, config.inner, gamma) if uses_dual else None
 
     def pgd(s: IterateState):
         x_new = pgd_step(f, dset, s.x, rho)
@@ -645,7 +607,7 @@ def run(
             _require_finite(state.x, "x", r)
             _require_finite(state.lam, "lambda", r)
 
-            fy = fval(state.y if uses_dual else state.x)
+            fy = f.value(state.y if uses_dual else state.x)
             if not math.isfinite(fy):
                 raise DivergenceError(f"non-finite objective at iteration {r}", r)
             window.append(fy)

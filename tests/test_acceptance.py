@@ -203,7 +203,7 @@ def test_criterion_06_reduction_identities():
         dset = uniform_lattice(6, 8.0)
         rho = 1.5 * f.lipschitz_L
         beta = rho * dset.covering_radius() * 1.2
-        inner = InnerSolverConfig(mode="gd", max_inner_iters=20000, abs_grad_tol=1e-12)
+        inner = InnerSolverConfig(max_inner_iters=20000, abs_grad_tol=1e-12)
         start = initial_state(dset, SolverConfig(rho=rho, seed=trial))
 
         def clone(s):
@@ -375,7 +375,7 @@ def test_criterion_12_logistic_demo():
         gamma=0.05,
         max_iters=300,
         seed=0,
-        inner=InnerSolverConfig(mode="gd", max_inner_iters=20000),
+        inner=InnerSolverConfig(max_inner_iters=20000),
     )
     loss_run = run("iadmm-q", f, dset, cfg)
     loss_ok = loss_run.best_objective <= 1.1 * baseline
@@ -384,7 +384,7 @@ def test_criterion_12_logistic_demo():
     rho = 1.5 * L
     assert check_decrease_condition(L, 0.0, rho)
     _, f_min = brute_force_minimize(f, dset, limit=2_000_000)
-    inner = InnerSolverConfig(mode="gd", max_inner_iters=50000, abs_grad_tol=1e-13)
+    inner = InnerSolverConfig(max_inner_iters=50000, abs_grad_tol=1e-13)
     upd = build_x_update(f, rho, inner, gamma=0.0)
     state = initial_state(dset, SolverConfig(rho=rho, seed=1))
     lagr = [augmented_lagrangian(f, state.x, state.y, state.lam, rho)]

@@ -198,6 +198,27 @@ class TestSolve:
         assert solve_json(capsys, *argv) == solve_json(capsys, *argv)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--algorithm", "admm-q", "--rho", "0"],
+        ["solve", "--algorithm", "admm-q", "--rho", "-5"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--iters", "-1"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--trace-stride", "0"],
+        ["solve", "--algorithm", "admm-r", "--rho", "2", "--p", "1.5"],
+        ["solve", "--algorithm", "admm-s", "--rho", "2", "--beta", "0"],
+        ["verify-conditions", "--Lf", "1", "--rho", "0"],
+    ],
+    ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
+         "beta-zero", "verify-rho-zero"],
+)
+def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
+    if argv[0] == "solve":
+        argv = [*argv, "--instance", demo_path]
+    assert main(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 class TestCheckStationary:
     def test_nonexistence_at_half(self, c1_path, capsys):
         code = main(
@@ -328,8 +349,17 @@ class TestSweep:
             ["--generate", "0"],
             ["--generate", "-2"],
             ["--generate", "1", "--algorithms", ","],
+            ["--generate", "1", "--bins", "0"],
+            ["--instances", "instances", "--generate", "2"],
         ],
-        ids=["no-instances", "generate-zero", "generate-negative", "no-algorithms"],
+        ids=[
+            "no-instances",
+            "generate-zero",
+            "generate-negative",
+            "no-algorithms",
+            "bins-zero",
+            "instances-and-generate",
+        ],
     )
     def test_nothing_to_sweep_is_usage_error(self, tmp_path, capsys, argv):
         out = tmp_path / "out"

@@ -113,12 +113,13 @@ class TestAdmmQStep:
         f = random_psd_quadratic(rng, d=4)
         dset = uniform_lattice(4, 1.0)
         rho = 2.0 * f.lipschitz_L
-        inner = InnerSolverConfig(mode="gd", max_inner_iters=5000, abs_grad_tol=1e-13)
+        inner = InnerSolverConfig(max_inner_iters=5000, abs_grad_tol=1e-13)
+        upd = build_x_update(f, rho, inner, gamma=0.0)
         s_cf = initial_state(dset, SolverConfig(rho=rho, seed=5))
         s_gd = IterateState(s_cf.x.copy(), s_cf.y.copy(), s_cf.lam.copy())
         for _ in range(50):
             s_cf = admm_q_step(f, dset, s_cf, rho)
-            s_gd = admm_q_step(f, dset, s_gd, rho, inner=inner)
+            s_gd = admm_q_step(f, dset, s_gd, rho, x_update=upd)
             assert np.linalg.norm(s_cf.x - s_gd.x) < 1e-9
 
 
@@ -128,7 +129,7 @@ class TestIadmmQStep:
         f = random_psd_quadratic(rng, d=5)
         dset = uniform_lattice(5, 4.0)
         rho = 1.5 * f.lipschitz_L
-        inner = InnerSolverConfig(mode="gd", max_inner_iters=5000, abs_grad_tol=1e-13)
+        inner = InnerSolverConfig(max_inner_iters=5000, abs_grad_tol=1e-13)
         exact = initial_state(dset, SolverConfig(rho=rho, seed=7))
         inexact = IterateState(exact.x.copy(), exact.y.copy(), exact.lam.copy())
         upd = build_x_update(f, rho, inner, gamma=0.0)
@@ -156,33 +157,16 @@ class TestIadmmQStep:
             )
             assert np.linalg.norm(state.x - x_star) <= bound + 1e-10
 
-    def test_closed_form_mode_rejected(self):
-        with pytest.raises(ValueError, match="gradient-descent"):
-            iadmm_q_step(
-                SHIFTED_1D,
-                INTS,
-                state_1d(0, 0, 0),
-                rho=2.0,
-                gamma=0.1,
-                inner=InnerSolverConfig(mode="closed-form"),
-            )
-
-    @pytest.mark.parametrize("gamma", [0.0, 0.1])
-    def test_run_rejects_closed_form_mode(self, gamma):
-        config = SolverConfig(
-            rho=2.0, gamma=gamma, max_iters=5, inner=InnerSolverConfig(mode="closed-form")
-        )
-        with pytest.raises(ValueError, match="iadmm-q uses the gradient-descent inner mode"):
-            run("iadmm-q", SHIFTED_1D, INTS, config)
-
     def test_inner_budget_enforced(self):
         rng = np.random.default_rng(5)
         f = random_psd_quadratic(rng, d=4)
         dset = uniform_lattice(4, 8.0)
-        inner = InnerSolverConfig(mode="gd", max_inner_iters=1, abs_grad_tol=1e-15)
-        state = initial_state(dset, SolverConfig(rho=2 * f.lipschitz_L, seed=1))
+        rho = 2 * f.lipschitz_L
+        inner = InnerSolverConfig(max_inner_iters=1, abs_grad_tol=1e-15)
+        upd = build_x_update(f, rho, inner, gamma=0.0)
+        state = initial_state(dset, SolverConfig(rho=rho, seed=1))
         with pytest.raises(InnerSolverError, match="certificate"):
-            iadmm_q_step(f, dset, state, 2 * f.lipschitz_L, gamma=0.0, inner=inner)
+            iadmm_q_step(f, dset, state, rho, gamma=0.0, x_update=upd)
 
 
 class _ZeroMaskRng:
@@ -451,6 +435,34 @@ class TestRun:
         assert err <= 1e-8 * (1 + np.linalg.norm(res.state.lam))
 
 
+class TestXSolverRule:
+    """The method picks the x-solver, seen in the trace's inner_iters column:
+    a quadratic's exact x-update is a factorization solve with no inner
+    steps; iadmm-q and every non-quadratic x-update run gradient descent."""
+
+    @staticmethod
+    def inner_iters(method, f, dset, **kw):
+        cfg = SolverConfig(rho=2 * f.lipschitz_L, max_iters=30, seed=4, mask_prob=0.5, **kw)
+        return run(method, f, dset, cfg).trace.as_arrays()["inner_iters"]
+
+    @pytest.fixture
+    def quadratic(self):
+        return random_psd_quadratic(np.random.default_rng(16), d=4), uniform_lattice(4, 1.0)
+
+    @pytest.mark.parametrize("method", ["admm-q", "admm-r", "admm-s"])
+    def test_exact_methods_factor_quadratics(self, quadratic, method):
+        assert np.all(self.inner_iters(method, *quadratic) == 0)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.05])
+    def test_iadmm_q_descends_on_quadratics(self, quadratic, gamma):
+        assert self.inner_iters("iadmm-q", *quadratic, gamma=gamma).max() > 0
+
+    @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s"])
+    def test_logistic_descends_for_every_method(self, method):
+        f = synthetic_logistic(50, 6, seed=4)
+        assert self.inner_iters(method, f, binary_set(6), gamma=0.05).max() > 0
+
+
 def full_budget_record(method, f, dset, config):
     """Every iteration of the full-budget loop, built from the public steps.
 
@@ -468,8 +480,7 @@ def full_budget_record(method, f, dset, config):
     else:
         fval = f.value
     if method == "iadmm-q":
-        inner = InnerSolverConfig(mode="gd")
-        x_update = build_x_update(f, rho, inner, gamma=config.gamma)
+        x_update = build_x_update(f, rho, config.inner, gamma=config.gamma)
     elif method != "pgd":
         x_update = build_x_update(f, rho, config.inner)
 
@@ -663,9 +674,5 @@ class TestConfigValidation:
             SolverConfig(window=0)
 
     def test_inner_validation(self):
-        with pytest.raises(ValueError):
-            InnerSolverConfig(mode="newton")
-        with pytest.raises(ValueError):
-            InnerSolverConfig(step_size=-1.0)
         with pytest.raises(ValueError):
             InnerSolverConfig(max_inner_iters=0)

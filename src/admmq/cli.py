@@ -179,6 +179,8 @@ def cmd_sweep(args) -> int:
         return _fail("pass either --instances DIR or --generate N with N >= 1", EXIT_USAGE)
     if args.bins < 1:
         return _fail(f"--bins must be positive, got {args.bins}", EXIT_USAGE)
+    if args.workers < 1:
+        return _fail(f"--workers must be positive, got {args.workers}", EXIT_USAGE)
     instances = []
     if args.instances:
         paths = sorted(Path(args.instances).glob("*.json"))
@@ -206,10 +208,10 @@ def cmd_sweep(args) -> int:
                 overrides = json.load(fh)
         except (OSError, ValueError) as exc:
             return _fail(f"cannot load protocol: {exc}", EXIT_USAGE)
-    for key in ("rho_grid", "beta_grid", "p_grid"):
-        if key in overrides:
-            overrides[key] = tuple(overrides[key])
     try:
+        for key in ("rho_grid", "beta_grid", "p_grid"):
+            if key in overrides:
+                overrides[key] = tuple(overrides[key])
         protocol = (
             ProtocolSpec.paper(**overrides) if args.paper_scale else ProtocolSpec(**overrides)
         )

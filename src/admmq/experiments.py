@@ -11,8 +11,10 @@ the best grid point per algorithm is selected by median.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -22,7 +24,7 @@ import numpy as np
 from .objectives import QuadraticObjective
 from .rng import RunRng, derive_seed
 from .sets import DiscreteProductSet, uniform_lattice
-from .solvers import METHODS, SolverConfig, SolverError, run
+from .solvers import METHODS, SolverConfig, SolverError, run_lanes
 
 __all__ = [
     "InstanceSpec",
@@ -156,11 +158,25 @@ class ProtocolSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_inits", "iters_admm", "iters_pgd", "window"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.n_inits < 1:
             raise ValueError("n_inits must be positive")
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
+        for name in ("rho_grid", "beta_grid"):
+            if not all(v > 0 for v in getattr(self, name)):
+                raise ValueError(f"every {name} value must be positive, got {getattr(self, name)}")
+        if not all(0 < p <= 1 for p in self.p_grid):
+            raise ValueError(f"every p_grid value must be in (0, 1], got {self.p_grid}")
+        if not (self.gamma >= 0):
+            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if self.iters_admm < 0 or self.iters_pgd < 0:
+            raise ValueError("iteration budgets must be non-negative")
+        if self.window < 1:
+            raise ValueError(f"window must be positive, got {self.window}")
 
     @classmethod
     def paper(cls, **overrides) -> "ProtocolSpec":
@@ -244,25 +260,35 @@ def init_seed(protocol: ProtocolSpec, instance: GeneratedInstance, init_index: i
     return derive_seed(protocol.seed, instance.spec.seed, init_index)
 
 
-def _execute_task(task) -> RunRecord:
-    instance, algorithm, hyper, init_index, protocol = task
-    seed = init_seed(protocol, instance, init_index)
-    config = _make_config(algorithm, hyper, protocol, seed)
-    hyper_json = json.dumps(hyper, sort_keys=True)
-    try:
-        result = run(algorithm, instance.objective, instance.dset, config)
-    except SolverError:
-        return RunRecord(
-            instance.instance_id, algorithm, hyper_json, init_index, math.nan, True
+def _execute_task(task) -> list[RunRecord]:
+    """Run a block of lanes of one algorithm; a lane's ``SolverError`` marks it diverged."""
+    instance, algorithm, lanes, protocol = task
+    configs = [
+        _make_config(algorithm, hyper, protocol, init_seed(protocol, instance, init_index))
+        for hyper, init_index in lanes
+    ]
+    outcomes = run_lanes(algorithm, instance.objective, instance.dset, configs)
+    records = []
+    for (hyper, init_index), out in zip(lanes, outcomes):
+        failed = isinstance(out, SolverError)
+        records.append(
+            RunRecord(
+                instance.instance_id,
+                algorithm,
+                json.dumps(hyper, sort_keys=True),
+                init_index,
+                math.nan if failed else out.best_objective,
+                failed,
+            )
         )
-    return RunRecord(
-        instance.instance_id,
-        algorithm,
-        hyper_json,
-        init_index,
-        result.best_objective,
-        False,
-    )
+    return records
+
+
+def _chunks(items: list, k: int) -> list[list]:
+    """``items`` cut into at most ``k`` contiguous pieces of near-equal length."""
+    n = len(items)
+    k = min(max(k, 1), n)
+    return [items[i * n // k:(i + 1) * n // k] for i in range(k)]
 
 
 class SweepResult:
@@ -378,24 +404,71 @@ def run_protocol(
 ) -> SweepResult:
     """Execute the full grid x initialization sweep for one instance.
 
-    Tasks are independent; with ``max_workers > 1`` they are dispatched to a
-    process pool and re-assembled in task order, so results do not depend on
-    scheduling.
+    Each algorithm's grid points and inits run as the lanes of one
+    :func:`~admmq.solvers.run_lanes` call. With ``max_workers > 1`` the lanes
+    are cut, in grid order, into one contiguous block per worker, the blocks
+    go to a process pool, and the records are re-assembled in grid order, so
+    results do not depend on scheduling.
+
+    An admm-s grid point whose radius ``beta / rho`` exceeds the set's
+    covering radius always steps onto the projection, so each of its runs is
+    admm-q's run at the same rho and init: it takes admm-q's record, and
+    runs as admm-q when the sweep does not include admm-q.
     """
     for alg in algorithms:
         if alg not in METHODS:
             raise ValueError(f"unknown algorithm {alg!r}")
-    tasks = [
-        (instance, alg, hyper, init_index, protocol)
-        for alg in algorithms
-        for hyper in protocol.grid_for(alg)
-        for init_index in range(protocol.n_inits)
+    # a hair above the radius, so that rounding in a distance cannot reach it
+    reach = instance.dset.covering_radius() * (1.0 + 1e-9)
+
+    def projects(alg: str, hyper: dict) -> bool:
+        return alg == "admm-s" and hyper["beta"] / hyper["rho"] > reach
+
+    def grid(alg: str) -> list[tuple[dict, int]]:
+        return [(h, i) for h in protocol.grid_for(alg) for i in range(protocol.n_inits)]
+
+    jobs = [
+        (k, alg, [lane for lane in grid(alg) if not projects(alg, lane[0])])
+        for k, alg in enumerate(algorithms)
     ]
+    if "admm-s" in algorithms and "admm-q" not in algorithms:
+        borrowed = [
+            (h, i) for h, i in grid("admm-q")
+            if any(projects("admm-s", {**h, "beta": b}) for b in protocol.beta_grid)
+        ]
+        jobs.append((-1, "admm-q", borrowed))
+    tasks, owners = [], []
+    for k, alg, lanes in jobs:
+        for block in _chunks(lanes, max_workers):
+            tasks.append((instance, alg, block, protocol))
+            owners.append(k)
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
-            records = list(pool.map(_execute_task, tasks, chunksize=8))
+            outputs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
-        records = [_execute_task(t) for t in tasks]
+        outputs = [_execute_task(t) for t in tasks]
+
+    ran: dict[int, list[RunRecord]] = {}
+    for k, recs in zip(owners, outputs):
+        ran.setdefault(k, []).extend(recs)
+    projected = {
+        (rec.hyper, rec.init): rec
+        for k, recs in ran.items()
+        if k < 0 or algorithms[k] == "admm-q"
+        for rec in recs
+    }
+    records = []
+    for k, alg in enumerate(algorithms):
+        own = iter(ran.get(k, []))
+        for hyper, init_index in grid(alg):
+            if projects(alg, hyper):
+                rec = projected[(json.dumps({"rho": hyper["rho"]}), init_index)]
+                rec = dataclasses.replace(
+                    rec, algorithm=alg, hyper=json.dumps(hyper, sort_keys=True)
+                )
+            else:
+                rec = next(own)
+            records.append(rec)
     return SweepResult(records, protocol.n_inits)
 
 

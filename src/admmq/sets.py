@@ -104,6 +104,8 @@ class ScaledLattice:
         t = np.asarray(t, dtype=float)
         # round half down: exact midpoints go to the smaller multiple
         k = np.ceil(t / self.v - 0.5)
+        if self.a is None and self.b is None:
+            return self.v * k
         # not np.clip, which is slower with scalar bounds and, unlike with
         # array bounds, lets -0.0 past a bound of 0
         k = np.minimum(np.maximum(k, self._k_min()), self._k_max())
@@ -231,7 +233,8 @@ class DiscreteProductSet:
         """Coordinate-wise nearest member of the set (documented tie rule).
 
         ``validate=False`` skips the finiteness/shape check; callers on hot
-        paths use it after guarding the input themselves.
+        paths use it after guarding the input themselves. Unchecked, ``x``
+        may also be an (n, dim) array, projected row by row.
         """
         return self._project(self._check_point(x) if validate else x)
 

@@ -15,22 +15,28 @@ Six methods share one driver:
   quadratics) followed by a single projection.
 
 The four ADMM methods share one iteration and differ only in how y is
-taken from the projection and in the accuracy of the x-solve. Each method
-is available as a single-step transition function plus the ``run`` driver,
-which records a :class:`RunTrace` and the best objective over a trailing
-window, and stops early once the iterate cycles exactly.
+taken from the projection and in the accuracy of the x-solve. The iteration
+is written once, for a batch of independent runs (lanes) held as rows of
+``(n, d)`` arrays. ``run_lanes`` drives a batch and ``run`` a single run;
+both record a :class:`RunTrace` and the best objective over a trailing
+window, and stop a run early once its iterate cycles exactly. Each method is
+also available as a single-step transition function.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import math
+import numbers
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor
+from scipy.linalg.lapack import dpotrs
 
 from .objectives import QuadraticObjective, SmoothObjective
 from .rng import RunRng
@@ -56,6 +62,7 @@ __all__ = [
     "gd_then_project",
     "initial_state",
     "run",
+    "run_lanes",
 ]
 
 METHODS = ("admm-q", "iadmm-q", "admm-r", "admm-s", "pgd", "gd-proj")
@@ -126,6 +133,9 @@ class SolverConfig:
             raise ValueError(f"beta must be positive, got {self.beta}")
         if not (0 < self.mask_prob <= 1):
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
+        for name in ("max_iters", "window", "trace_stride"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
         if self.window < 1:
@@ -167,22 +177,16 @@ def augmented_lagrangian(f: SmoothObjective, x, y, lam, rho: float) -> float:
     return f.value(x) + float(lam @ d) + 0.5 * rho * float(d @ d)
 
 
-def _iterate_key(state: IterateState) -> bytes:
-    """The bits of (x, y, lambda); equal keys mean a bit-identical iterate."""
-    return state.x.tobytes() + state.y.tobytes() + state.lam.tobytes()
-
-
-def _require_finite(arr: np.ndarray, what: str, iteration: int):
-    if not np.all(np.isfinite(arr)):
-        raise DivergenceError(f"non-finite {what} at iteration {iteration}", iteration)
-
-
 class _ClosedFormX:
-    """x-update for quadratics: one cached Cholesky solve per call."""
+    """x-update for quadratics: a cached Cholesky factor, one LAPACK solve per call.
+
+    ``solve`` takes one lane per row and solves all their right-hand sides in
+    one ``potrs`` call; each column comes out bit for bit as it would alone.
+    """
 
     def __init__(self, f: QuadraticObjective, rho: float):
         try:
-            self._factor = cho_factor(f.Q + rho * np.eye(f.dim))
+            self._factor, self._lower = cho_factor(f.Q + rho * np.eye(f.dim))
         except np.linalg.LinAlgError as exc:
             raise SolverError(
                 f"Q + rho*I is not positive definite (rho={rho} <= mu="
@@ -193,7 +197,8 @@ class _ClosedFormX:
 
     def solve(self, y_new, lam, x_prev):
         rhs = self._rho * y_new - lam - self._b
-        return cho_solve(self._factor, rhs, check_finite=False), 0
+        x, _ = dpotrs(self._factor, rhs.T, lower=self._lower, overwrite_b=True)
+        return x.T, 0
 
 
 class _CertifiedGdX:
@@ -268,23 +273,88 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _admm_step(dset: DiscreteProductSet, state: IterateState, rho: float, x_update, y_rule):
-    """One iteration of the ADMM family; ``y_rule(z, z_proj)`` picks the new y.
+def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, iteration, solves, y_rule):
+    """One iteration of the ADMM family for every lane; rows of the arrays are lanes.
 
-    Projects the target ``z = x + lambda/rho``, minimizes the Lagrangian in x
-    at the chosen y, and ascends lambda. Returns the new state and ``z_proj``.
+    Projects each target ``z = x + lambda/rho``, lets ``y_rule(Z, Z_proj)``
+    pick the new y, minimizes the Lagrangian in x, and ascends lambda.
+    ``rho`` is a number or a column with one entry per lane,
+    ``iteration(i)`` is lane i's iteration count, and ``solves`` lists
+    ``(start, stop, x_update)`` for each block of lanes that shares an
+    x-solver. Returns the new X, Y and Lam, the inner steps per lane (None
+    when every solve is direct), ``Z_proj``, and ``{lane: error}`` for the
+    lanes whose step could not be carried out.
     """
-    z = state.x + state.lam / rho
-    _require_finite(z, "projection target", state.r)
-    z_proj = dset.project(z, validate=False)
-    y_new = y_rule(z, z_proj)
-    x_new, n_inner = x_update.solve(y_new, state.lam, state.x)
-    lam_new = state.lam + rho * (x_new - y_new)
-    return IterateState(x_new, y_new, lam_new, state.r + 1, n_inner), z_proj
+    Z = X + Lam / rho
+    errors = {
+        i: DivergenceError(f"non-finite projection target at iteration {iteration(i)}", iteration(i))
+        for i in _non_finite_rows(Z)
+    }
+    Z_proj = dset.project(Z, validate=False)
+    Y_new = y_rule(Z, Z_proj)
+    parts, inner = [], None
+    for start, stop, x_update in solves:
+        if isinstance(x_update, _ClosedFormX):
+            parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
+            continue
+        block = np.empty((stop - start, X.shape[1]))
+        inner = np.zeros(len(X), dtype=int) if inner is None else inner
+        for i in range(start, stop):
+            if i not in errors:
+                try:
+                    block[i - start], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
+                except SolverError as exc:
+                    errors[i] = exc
+        parts.append(block)
+    X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    Lam_new = Lam + rho * (X_new - Y_new)
+    return X_new, Y_new, Lam_new, inner, Z_proj, errors
 
 
-def _take_projection(z, z_proj):
-    return z_proj
+def _take_projection(Z, Z_proj):
+    return Z_proj
+
+
+def _soften(radius):
+    """admm-s's y-rule: move each z toward its projection by at most ``radius``."""
+    # a positive radius exceeds a distance of 0, so that test is then implied
+    positive = bool(np.all(np.asarray(radius) > 0))
+
+    def rule(Z, Z_proj):
+        D = Z_proj - Z
+        n, d = D.shape
+        # np.linalg.norm of each row, bit for bit: one dot product per row
+        dist = np.sqrt(np.matmul(D[:, None], D[:, :, None])).reshape(n, 1)
+        take = radius > dist if positive else (dist == 0.0) | (radius > dist)
+        return np.where(take, Z_proj, Z + radius * (D / dist))
+
+    return rule
+
+
+def _non_finite_rows(A) -> list:
+    """Indices of the rows of ``A`` that hold a non-finite entry."""
+    if math.isfinite(A.sum()):
+        return []
+    return np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist()
+
+
+def _pgd_lanes(f: SmoothObjective, dset: DiscreteProductSet, X, rho):
+    """Projected gradient step of every lane, and the lanes whose target is not finite."""
+    T = X - f.gradient_rows(X) / rho
+    return dset.project(T, validate=False), _non_finite_rows(T)
+
+
+def _one_lane(dset, state: IterateState, rho: float, x_update, y_rule) -> IterateState:
+    """The lane step at n = 1."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        X, Y, Lam, inner, _, errors = _admm_lanes(
+            dset, state.x[None], state.y[None], state.lam[None], rho, lambda i: state.r,
+            [(0, 1, x_update)], y_rule,
+        )
+    if errors:
+        raise errors[0]
+    n_inner = 0 if inner is None else int(inner[0])
+    return IterateState(X[0], Y[0], Lam[0], state.r + 1, n_inner)
 
 
 def admm_q_step(
@@ -300,7 +370,7 @@ def admm_q_step(
     ``(Q + rho I) x = rho y - lambda - b``.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _admm_step(dset, state, rho, x_update, _take_projection)[0]
+    return _one_lane(dset, state, rho, x_update, _take_projection)
 
 
 def iadmm_q_step(
@@ -317,7 +387,7 @@ def iadmm_q_step(
     floor and the trajectory matches the exact method to inner tolerance.
     """
     x_update = x_update or build_x_update(f, rho, gamma=gamma)
-    return _admm_step(dset, state, rho, x_update, _take_projection)[0]
+    return _one_lane(dset, state, rho, x_update, _take_projection)
 
 
 def admm_r_step(
@@ -328,22 +398,18 @@ def admm_r_step(
     mask_prob: float,
     rng: RunRng,
     x_update=None,
-    return_y_hat: bool = False,
-):
+) -> IterateState:
     """Masked iteration: coordinate i refreshes y_i only when its coin lands 1.
 
     Masks are i.i.d. Bernoulli(mask_prob) per coordinate per iteration, drawn
     from the run's seeded stream. Requires the product structure of the set:
     the blended y stays feasible because both candidates are members.
-    With ``return_y_hat`` the result is ``(state, y_hat)``, where ``y_hat`` is
-    the unmasked projection; the mask changes nothing when it equals ``state.y``.
     """
     x_update = x_update or build_x_update(f, rho)
     mask = rng.bernoulli(mask_prob, dset.dim)
-    nxt, y_hat = _admm_step(
-        dset, state, rho, x_update, lambda z, z_proj: np.where(mask, z_proj, state.y)
+    return _one_lane(
+        dset, state, rho, x_update, lambda Z, Z_proj: np.where(mask, Z_proj, state.y)
     )
-    return (nxt, y_hat) if return_y_hat else nxt
 
 
 def admm_s_step(
@@ -360,16 +426,7 @@ def admm_s_step(
     projection itself and the step coincides with the exact method.
     """
     x_update = x_update or build_x_update(f, rho)
-    radius = beta / rho
-
-    def soften(z, z_proj):
-        z_d = z_proj - z
-        dist = float(np.linalg.norm(z_d))
-        if dist == 0.0 or radius > dist:
-            return z_proj
-        return z + radius * (z_d / dist)
-
-    return _admm_step(dset, state, rho, x_update, soften)[0]
+    return _one_lane(dset, state, rho, x_update, _soften(beta / rho))
 
 
 def pgd_step(
@@ -377,10 +434,11 @@ def pgd_step(
 ) -> np.ndarray:
     """Projected gradient step with step size ``1/rho``."""
     x = np.asarray(x, dtype=float)
-    t = x - f.gradient(x) / rho
-    if not np.all(np.isfinite(t)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_new, bad = _pgd_lanes(f, dset, x[None], rho)
+    if bad:
         raise DivergenceError("non-finite projected-gradient target")
-    return dset.project(t, validate=False)
+    return x_new[0]
 
 
 def gd_then_project(
@@ -521,137 +579,288 @@ def run(
     Once (x, y, lambda) repeats bit for bit, the rest of the run is periodic
     and whole cycles of it are skipped; the result, trace included, is
     identical to the full budget's. ``iterations_run`` and ``cycle_period``
-    report what was executed.
+    report what was executed. Every iterating method is :func:`run_lanes`
+    with one lane.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    rng = RunRng(config.seed)
-    state = initial_state(dset, config, rng)
-    rho = config.rho
+    if method != "gd-proj":
+        (result,) = run_lanes(method, f, dset, [config])
+        if isinstance(result, SolverError):
+            raise result
+        return result
+    state = initial_state(dset, config)
     f_y0 = f.value(state.y)
     trace = RunTrace(stride=config.trace_stride)
-    window: deque = deque(maxlen=config.window)
-    window.append(f_y0)
-
-    if method == "gd-proj" and config.max_iters > 0:
-        x_fin, ok = gd_then_project(f, dset, state.x)
-        val = f.value(x_fin)
-        trace.record(0, val, val, 0.0, 0)
-        final = IterateState(x=x_fin, y=x_fin.copy(), lam=np.zeros(dset.dim), r=0)
-        return RunResult(
-            method=method,
-            trace=trace,
-            state=final,
-            best_objective=val,
-            initial_objective=f_y0,
-            final_objective=val,
-            final_step_norm=0.0 if ok else math.inf,
-            y_stable_iters=0,
-        )
-
-    uses_dual = method in ("admm-q", "iadmm-q", "admm-r", "admm-s")
-    gamma = config.gamma if method == "iadmm-q" else None
-    x_update = build_x_update(f, rho, config.inner, gamma) if uses_dual else None
-
-    def pgd(s: IterateState):
-        x_new = pgd_step(f, dset, s.x, rho)
-        return IterateState(x=x_new, y=x_new.copy(), lam=s.lam, r=s.r + 1), None
-
-    # each step returns (state, y_hat); y_hat is admm-r's unmasked projection.
-    # gd-proj has none: it reaches the loop only with a zero budget
-    step = {
-        "admm-q": lambda s: (admm_q_step(f, dset, s, rho, x_update=x_update), None),
-        "iadmm-q": lambda s: (
-            iadmm_q_step(f, dset, s, rho, config.gamma, x_update=x_update), None
-        ),
-        "admm-r": lambda s: admm_r_step(
-            f, dset, s, rho, config.mask_prob, rng, x_update=x_update, return_y_hat=True
-        ),
-        "admm-s": lambda s: (admm_s_step(f, dset, s, rho, config.beta, x_update=x_update), None),
-        "pgd": pgd,
-    }.get(method)
-
-    def lagrangian_of(s: IterateState) -> float:
-        if not uses_dual:
-            return f.value(s.x)
-        val = augmented_lagrangian(f, s.x, s.y, s.lam, rho)
-        if method == "admm-s":
-            val += config.beta * dset.soft_indicator(s.y)
-        return val
-
-    trace.record(0, lagrangian_of(state), f_y0, 0.0, 0)
-
-    max_iters, stride = config.max_iters, config.trace_stride
-    final_step_norm = math.inf
-    y_stable = 0
-    # Exact cycle retirement. Each iterate (x, y, lam) is compared bit for bit
-    # with one saved iterate, which moves to the current one whenever the gap
-    # between them reaches a power of two (Brent, BIT 1980). Once the iterate
-    # repeats with period k, the rest of the run is periodic: one more cycle
-    # runs to record its trace rows, ``skip`` whole cycles are skipped, and at
-    # least ``window`` iterations still run for real, so every field of the
-    # result is what the full budget gives.
-    saved, gap, power = _iterate_key(state), 0, 1
-    period = skip = skipped = 0
-    cycle_rows: list[tuple] = []
-    r = 0
-    # overflow on the way to +-inf is the divergence signal, not a bug
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        while r < max_iters:
-            r += 1
-            prev_x, prev_y = state.x, state.y
-            try:
-                state, y_hat = step(state)
-            except DivergenceError as exc:
-                raise DivergenceError(str(exc), iteration=r) from None
-            _require_finite(state.x, "x", r)
-            _require_finite(state.lam, "lambda", r)
-
-            fy = f.value(state.y if uses_dual else state.x)
-            if not math.isfinite(fy):
-                raise DivergenceError(f"non-finite objective at iteration {r}", r)
-            window.append(fy)
-            dx = state.x - prev_x
-            final_step_norm = math.sqrt(float(dx @ dx))
-            y_stable = y_stable + 1 if np.array_equal(state.y, prev_y) else 0
-            on_stride = r % stride == 0 or r == max_iters
-            if on_stride or skip:
-                resid = float(np.linalg.norm(state.x - state.y))
-                row = (lagrangian_of(state), fy, resid, state.inner_iters)
-                if on_stride:
-                    trace.record(r, *row)
-            if skip:
-                cycle_rows.append(row)
-                if len(cycle_rows) == period:
-                    # rows repeat by phase; the last `period` rows are one cycle
-                    for j in range(r - r % stride + stride, r + skip + 1, stride):
-                        trace.record(j, *cycle_rows[(j - r - 1) % period])
-                    if y_stable >= period:  # y was constant over the cycle
-                        y_stable += skip
-                    r += skip
-                    state.r = r
-                    skipped, skip = skip, 0
-            elif saved is not None:
-                gap += 1
-                key = _iterate_key(state)
-                if y_hat is not None and y_hat.tobytes() != prev_y.tobytes():
-                    # the mask decided y; the step was not a function of the state
-                    saved, gap, power = key, 0, 1
-                elif key == saved:
-                    period, saved = gap, None
-                    skip = max(0, ((max_iters - r - config.window) // period - 1) * period)
-                elif gap == power:
-                    saved, gap, power = key, 0, 2 * power
-
+    if config.max_iters == 0:
+        trace.record(0, f_y0, f_y0, 0.0, 0)
+        return RunResult(method, trace, state, f_y0, f_y0, f_y0)
+    x_fin, ok = gd_then_project(f, dset, state.x)
+    val = f.value(x_fin)
+    trace.record(0, val, val, 0.0, 0)
+    final = IterateState(x=x_fin, y=x_fin.copy(), lam=np.zeros(dset.dim), r=0)
     return RunResult(
         method=method,
         trace=trace,
-        state=state,
-        best_objective=float(min(window)),
+        state=final,
+        best_objective=val,
         initial_objective=f_y0,
-        final_objective=float(window[-1]),
-        final_step_norm=final_step_norm if max_iters > 0 else math.inf,
-        y_stable_iters=y_stable,
-        iterations_run=max_iters - skipped,
-        cycle_period=period,
+        final_objective=val,
+        final_step_norm=0.0 if ok else math.inf,
+        y_stable_iters=0,
     )
+
+
+def _key(x, y, lam) -> bytes:
+    """The bits of (x, y, lambda); equal keys mean a bit-identical iterate."""
+    return x.tobytes() + y.tobytes() + lam.tobytes()
+
+
+class _Lane:
+    """Bookkeeping of one lane of :func:`run_lanes`; its iterate is a row elsewhere."""
+
+    __slots__ = ("i", "config", "block", "off", "moved", "fy", "saved", "since", "power",
+                 "period", "skip", "skipped", "rows")
+
+    def __init__(self, i: int, config: SolverConfig, block: int, fy: float, key: bytes):
+        self.i, self.config, self.block, self.fy = i, config, block, fy
+        self.off = 0  # the lane's iteration count is t + off
+        self.moved = 0  # the t at which y last changed: y has been stable for t - moved
+        # Brent's method: the saved iterate's bits (None once the lane stops
+        # looking), the t at which they were saved, and the gap at which
+        # they move on
+        self.saved, self.since, self.power = key, 0, 1
+        # a found cycle: its period, the iterations still to skip once one
+        # more cycle has recorded its trace rows, and the iterations skipped
+        self.period = self.skip = self.skipped = 0
+        self.rows: list = []
+
+
+def run_lanes(
+    method: str,
+    f: SmoothObjective,
+    dset: DiscreteProductSet,
+    configs,
+) -> list:
+    """Run ``method`` from every config at once, one lane per config.
+
+    The lanes advance together as the rows of ``(n, d)`` arrays of x, y and
+    lambda; each keeps its own rho, beta, mask probability, seed and random
+    stream, budget, window and trace stride. Lanes with equal rho share one
+    x-solver: for a quadratic one Cholesky factor, and one triangular solve
+    of all their right-hand sides per iteration. gd-proj has no iteration
+    to share and runs its configs one by one.
+
+    Returns, in config order, each lane's :class:`RunResult`, or the
+    :class:`SolverError` that ended it. Either is bit for bit what the lane
+    gives alone: :func:`run` is this kernel at n = 1.
+
+    A lane whose (x, y, lambda) repeats bit for bit retires its cycle as
+    :func:`run` describes: Brent's method (BIT 1980) compares the iterate
+    with one saved iterate, which moves to the current one whenever the gap
+    between them reaches a power of two. Once the lane repeats with period
+    k, one more cycle runs to record its trace rows, whole cycles are
+    skipped by advancing that lane's iteration count, and at least
+    ``window`` iterations still run for real.
+    """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    if method == "gd-proj":
+        outcomes = []
+        for config in configs:
+            try:
+                outcomes.append(run(method, f, dset, config))
+            except SolverError as exc:
+                outcomes.append(exc)
+        return outcomes
+    configs = list(configs)
+    d, w = dset.dim, 8 * dset.dim  # w: bytes per row
+    uses_dual = method != "pgd"
+    rngs = [RunRng(c.seed) for c in configs]
+    starts = [initial_state(dset, c, rng) for c, rng in zip(configs, rngs)]
+    f_y0 = [f.value(s.y) for s in starts]
+    windows = [deque([v], maxlen=c.window) for v, c in zip(f_y0, configs)]
+    traces = [RunTrace(stride=c.trace_stride) for c in configs]
+    outcomes: list = [None] * len(configs)
+
+    def lagrangian(lane, x, y, lam) -> float:
+        if not uses_dual:
+            return f.value(x)
+        val = augmented_lagrangian(f, x, y, lam, lane.config.rho)
+        if method == "admm-s":
+            val += lane.config.beta * dset.soft_indicator(y)
+        return val
+
+    def finish(lane, state, step_norm, y_stable):
+        outcomes[lane.i] = RunResult(
+            method=method,
+            trace=traces[lane.i],
+            state=state,
+            best_objective=float(min(windows[lane.i])),
+            initial_objective=f_y0[lane.i],
+            final_objective=float(windows[lane.i][-1]),
+            final_step_norm=step_norm,
+            y_stable_iters=y_stable,
+            iterations_run=lane.config.max_iters - lane.skipped,
+            cycle_period=lane.period,
+        )
+
+    # lanes are ordered by x-solver, so that each solver's lanes form a block
+    groups: dict = {}
+    for i, c in enumerate(configs):
+        gamma = c.gamma if method == "iadmm-q" else None
+        groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
+    lanes, updaters = [], []
+    for (rho, gamma, _), members in groups.items():
+        try:
+            updater = build_x_update(f, rho, configs[members[0]].inner, gamma) if uses_dual else None
+        except SolverError as exc:
+            for i in members:
+                outcomes[i] = exc
+            continue
+        for i in members:
+            s = starts[i]
+            lane = _Lane(i, configs[i], len(updaters), f_y0[i], _key(s.x, s.y, s.lam))
+            traces[i].record(0, lagrangian(lane, s.x, s.y, s.lam), f_y0[i], 0.0, 0)
+            if configs[i].max_iters:
+                lanes.append(lane)
+            else:
+                finish(lane, s, math.inf, 0)
+        updaters.append(updater)
+
+    def blocks():
+        out, start = [], 0
+        for block, members in itertools.groupby(lanes, key=lambda lane: lane.block):
+            stop = start + len(list(members))
+            out.append((start, stop, updaters[block]))
+            start = stop
+        return out
+
+    X = np.array([starts[lane.i].x for lane in lanes]).reshape(len(lanes), d)
+    Y = np.array([starts[lane.i].y for lane in lanes]).reshape(len(lanes), d)
+    Lam = np.array([starts[lane.i].lam for lane in lanes]).reshape(len(lanes), d)
+    rho = np.array([[lane.config.rho] for lane in lanes])
+    radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
+    solves, soften, t = blocks(), _soften(radius), 0
+
+    def compact(keep, *more):
+        """Keep the lanes at positions ``keep``; returns ``more`` cut the same way."""
+        nonlocal X, Y, Lam, rho, radius, lanes, solves, soften
+        X, Y, Lam, rho, radius = (a[keep] for a in (X, Y, Lam, rho, radius))
+        lanes = [lanes[p] for p in keep]
+        solves, soften = blocks(), _soften(radius)
+        return [None if a is None else a[keep] for a in more]
+
+    def iteration(pos):
+        return t - 1 + lanes[pos].off
+
+    # overflow on the way to +-inf is the divergence signal, not a bug
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        while lanes:
+            t += 1
+            Xp, Yp = X, Y
+            if method == "pgd":
+                X, bad = _pgd_lanes(f, dset, X, rho)
+                Y, inner, y_hat = X, None, None
+                errors = {i: DivergenceError("non-finite projected-gradient target") for i in bad}
+            else:
+                if method == "admm-r":
+                    masks = np.array(
+                        [rngs[lane.i].bernoulli(lane.config.mask_prob, d) for lane in lanes]
+                    )
+                    rule = lambda Z, Z_proj: np.where(masks, Z_proj, Yp)  # noqa: E731
+                elif method == "admm-s":
+                    rule = soften
+                else:
+                    rule = _take_projection
+                X, Y, Lam, inner, y_hat, errors = _admm_lanes(
+                    dset, X, Y, Lam, rho, iteration, solves, rule
+                )
+            fys = f.value_rows(Y)
+            # lambda + rho (x - y) is finite only if x is
+            if errors or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
+                keep = []
+                for pos, lane in enumerate(lanes):
+                    r = t + lane.off
+                    exc = errors.get(pos)
+                    if isinstance(exc, DivergenceError):
+                        exc = DivergenceError(str(exc), iteration=r)
+                    elif exc is None:
+                        for what, ok in (("x", np.isfinite(X[pos]).all()),
+                                         ("lambda", np.isfinite(Lam[pos]).all()),
+                                         ("objective", math.isfinite(fys[pos]))):
+                            if not ok:
+                                exc = DivergenceError(f"non-finite {what} at iteration {r}", r)
+                                break
+                    if exc is None:
+                        keep.append(pos)
+                    else:
+                        outcomes[lane.i] = exc
+                if len(keep) < len(lanes):
+                    fys = [fys[p] for p in keep]
+                    Xp, Yp, y_hat, inner = compact(keep, Xp, Yp, y_hat, inner)
+
+            # bits of the rows, for the comparisons below
+            xb, yb, ypb, yhb = X.tobytes(), None, None, None
+            if method == "admm-r":
+                yhb, ypb = y_hat.tobytes(), Yp.tobytes()
+            done = set()
+            for pos, lane in enumerate(lanes):
+                c, fy = lane.config, fys[pos]
+                row_bytes = slice(pos * w, pos * w + w)
+                windows[lane.i].append(fy)
+                if fy != lane.fy:
+                    lane.moved = t
+                else:  # an equal f(y) needs a look at y itself
+                    yb, ypb = yb or Y.tobytes(), ypb or Yp.tobytes()
+                    if yb[row_bytes] != ypb[row_bytes] and not np.array_equal(Y[pos], Yp[pos]):
+                        lane.moved = t
+                lane.fy = fy
+                r = t + lane.off
+                on_stride = r % c.trace_stride == 0 or r == c.max_iters
+                collecting = lane.skip > 0
+                if on_stride or collecting:
+                    x, y, lam = X[pos], Y[pos], Lam[pos]
+                    row = (
+                        lagrangian(lane, x, y, lam),
+                        fy,
+                        float(np.linalg.norm(x - y)),
+                        0 if inner is None else int(inner[pos]),
+                    )
+                    if on_stride:
+                        traces[lane.i].record(r, *row)
+                    if collecting:
+                        lane.rows.append(row)
+                        if len(lane.rows) == lane.period:
+                            # rows repeat by phase; the last `period` rows are one cycle
+                            stride, skip = c.trace_stride, lane.skip
+                            for j in range(r - r % stride + stride, r + skip + 1, stride):
+                                traces[lane.i].record(j, *lane.rows[(j - r - 1) % lane.period])
+                            if t - lane.moved >= lane.period:  # y was constant over the cycle
+                                lane.moved -= skip
+                            lane.off, lane.skipped, lane.skip = lane.off + skip, skip, 0
+                            r += skip
+                if not collecting and lane.saved is not None:
+                    gap = t - lane.since
+                    if yhb is not None and yhb[row_bytes] != ypb[row_bytes]:
+                        # the mask decided y; the step was not a function of the state
+                        lane.saved, lane.since, lane.power = _key(X[pos], Y[pos], Lam[pos]), t, 1
+                    elif lane.saved.startswith(xb[row_bytes]) and lane.saved == _key(
+                        X[pos], Y[pos], Lam[pos]
+                    ):
+                        lane.period, lane.saved = gap, None
+                        lane.skip = max(0, ((c.max_iters - r - c.window) // gap - 1) * gap)
+                    elif gap == lane.power:
+                        lane.saved, lane.since = _key(X[pos], Y[pos], Lam[pos]), t
+                        lane.power *= 2
+                if r == c.max_iters:
+                    dx = X[pos] - Xp[pos]
+                    state = IterateState(
+                        X[pos].copy(), Y[pos].copy(), Lam[pos].copy(), r,
+                        0 if inner is None else int(inner[pos]),
+                    )
+                    finish(lane, state, math.sqrt(float(dx @ dx)), t - lane.moved)
+                    done.add(pos)
+            if done:
+                compact([p for p in range(len(lanes)) if p not in done])
+    return outcomes

@@ -366,3 +366,25 @@ class TestSweep:
         assert main(["sweep", *argv, "--out", str(out)]) == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "protocol",
+        [{"rho_grid": [-1]}, {"window": 0}, {"p_grid": [0]}, {"rho_grid": 5}],
+        ids=["rho-negative", "window-zero", "p-zero", "grid-not-a-list"],
+    )
+    def test_bad_protocol_is_usage_error(self, tmp_path, capsys, protocol):
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps(protocol))
+        out = tmp_path / "out"
+        argv = ["sweep", "--generate", "1", "--d", "2", "--protocol", str(path), "--out", str(out)]
+        assert main(argv) == 2
+        assert "error: bad protocol:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        assert main(["sweep", "--generate", "1", "--d", "2", "--workers", workers,
+                     "--out", str(out)]) == 2
+        assert "error: --workers" in capsys.readouterr().err
+        assert not out.exists()

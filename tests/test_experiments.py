@@ -17,7 +17,10 @@ from admmq.experiments import (
     run_protocol,
     write_histogram_csv,
 )
+from admmq.experiments import init_seed
 from admmq.rng import RunRng
+from admmq.sets import binary_set
+from admmq.solvers import METHODS, SolverConfig, SolverError, run
 
 
 def tiny_protocol(**kw):
@@ -139,6 +142,32 @@ class TestProtocolSpec:
         with pytest.raises(ValueError):
             ProtocolSpec(rho_grid=())
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            dict(rho_grid=(1.0, -1.0)),
+            dict(rho_grid=(0.0,)),
+            dict(rho_grid=(math.nan,)),
+            dict(beta_grid=(0.0,)),
+            dict(p_grid=(0.0,)),
+            dict(p_grid=(1.5,)),
+            dict(gamma=-0.1),
+            dict(iters_admm=-1),
+            dict(iters_pgd=-1),
+            dict(window=0),
+            dict(iters_admm=10.5),
+            dict(iters_pgd=100.0),
+            dict(n_inits=2.5),
+            dict(window=math.inf),
+        ],
+    )
+    def test_validation_of_values(self, bad):
+        with pytest.raises(ValueError):
+            ProtocolSpec(**bad)
+
+    def test_boundary_values_accepted(self):
+        ProtocolSpec(p_grid=(1.0,), gamma=0.0, iters_admm=0, iters_pgd=0, window=1)
+
 
 class TestRunProtocol:
     def test_record_counts(self):
@@ -230,6 +259,92 @@ class TestRunProtocol:
         res = run_protocol(inst, ["admm-q"], protocol)
         best = res.best[(inst.instance_id, "admm-q")]
         assert best.median == pytest.approx(f_min, rel=1e-12)
+
+
+def fresh_record(instance, algorithm, hyper_json, init, protocol):
+    """(best objective, diverged) of the record's run on its own."""
+    hyper = json.loads(hyper_json)
+    config = SolverConfig(
+        rho=hyper.get("rho", 1.0),
+        gamma=hyper.get("gamma", 0.0),
+        beta=hyper.get("beta", 1.0),
+        mask_prob=hyper.get("p", 1.0),
+        max_iters=protocol.iters_for(algorithm),
+        window=protocol.window,
+        seed=init_seed(protocol, instance, init),
+    )
+    try:
+        result = run(algorithm, instance.objective, instance.dset, config)
+    except SolverError:
+        return math.nan, True
+    return result.best_objective, False
+
+
+def assert_records_fresh(res, instance, protocol):
+    for rec in res.records:
+        best, diverged = fresh_record(instance, rec.algorithm, rec.hyper, rec.init, protocol)
+        assert (repr(rec.best_objective), rec.diverged) == (repr(best), diverged), rec
+
+
+class TestLaneSweep:
+    """Each algorithm's grid points and inits run as the lanes of one kernel call."""
+
+    def test_records_equal_single_runs(self):
+        inst = generate_instance(InstanceSpec(d=4, sigma_q_sq=30.0, seed=10))
+        lf = inst.objective.lipschitz_L
+        protocol = tiny_protocol(
+            iters_admm=60, iters_pgd=80, rho_grid=(1e-3, 0.5, 10 * lf),
+            beta_grid=(0.5, 1e4), p_grid=(0.1, 0.9), gamma=0.5,
+        )
+        res = run_protocol(inst, METHODS, protocol)
+        assert [(r.algorithm, r.hyper, r.init) for r in res.records] == [
+            (alg, json.dumps(h, sort_keys=True), i)
+            for alg in METHODS
+            for h in protocol.grid_for(alg)
+            for i in range(protocol.n_inits)
+        ]
+        assert_records_fresh(res, inst, protocol)
+        # failed lanes sit next to finished ones in the same kernel call
+        for alg in ("iadmm-q", "pgd"):
+            flags = {r.diverged for r in res.records if r.algorithm == alg}
+            assert flags == {True, False}, alg
+
+    def test_runs_csv_bytes_independent_of_workers(self, tmp_path):
+        inst = generate_instance(InstanceSpec(d=4, sigma_q_sq=30.0, seed=11))
+        protocol = tiny_protocol(
+            iters_admm=40, iters_pgd=60, rho_grid=(1e-3, 1.0, 30.0, 1e4),
+            beta_grid=(0.5, 1e5), p_grid=(0.1, 0.9),
+        )
+        algorithms = ["admm-q", "admm-s", "admm-r", "pgd", "gd-proj"]
+        texts = []
+        for workers in (1, 2, 3):
+            path = tmp_path / f"runs-{workers}.csv"
+            run_protocol(inst, algorithms, protocol, max_workers=workers).to_csv(path)
+            texts.append(path.read_bytes())
+        assert texts[0] == texts[1] == texts[2]
+
+    @pytest.mark.parametrize(
+        "algorithms", [["admm-q", "admm-s"], ["admm-s"], ["admm-s", "pgd", "admm-q"]]
+    )
+    def test_admm_s_beyond_covering_radius_equals_fresh_runs(self, algorithms):
+        inst = generate_instance(InstanceSpec(d=3, v=8.0, sigma_q_sq=30.0, seed=12))
+        radius = inst.dset.covering_radius()  # 4 sqrt(3)
+        protocol = tiny_protocol(
+            iters_admm=80, rho_grid=(0.5, 5.0, 500.0), beta_grid=(1.0, 30.0, 1e4)
+        )
+        res = run_protocol(inst, algorithms, protocol)
+        softened = [r for r in res.records if r.algorithm == "admm-s"]
+        assert len(softened) == 9 * protocol.n_inits
+        reused = {r.hyper for r in softened if json.loads(r.hyper)["beta"] / json.loads(r.hyper)["rho"] > radius}
+        assert 0 < len(reused) < 9
+        assert_records_fresh(res, inst, protocol)
+
+    def test_binary_sets_equal_fresh_runs(self):
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=13))
+        binary = GeneratedInstance(inst.instance_id, inst.objective, binary_set(3), inst.spec)
+        protocol = tiny_protocol(rho_grid=(0.5, 50.0), beta_grid=(1e-3, 1e6))
+        res = run_protocol(binary, ["admm-s"], protocol)
+        assert_records_fresh(res, binary, protocol)
 
 
 class TestSweepOutputs:

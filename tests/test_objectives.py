@@ -211,3 +211,21 @@ class TestLogistic:
         np.testing.assert_array_equal(a.features, b.features)
         np.testing.assert_array_equal(a.labels, b.labels)
         assert set(np.unique(a.labels)) <= {-1.0, 1.0}
+
+
+class TestRowsBitForBit:
+    """``value_rows`` and ``gradient_rows`` repeat ``value`` and ``gradient`` bit for bit."""
+
+    @pytest.mark.parametrize("d", [1, 3, 16, 200])
+    def test_quadratic(self, d):
+        rng = np.random.default_rng(d)
+        f = QuadraticObjective(random_psd_quadratic(rng, d=d).Q, rng.standard_normal(d), c=0.3)
+        X = np.vstack([8.0 * np.round(3 * rng.standard_normal((4, d))), rng.standard_normal((3, d))])
+        assert [v.hex() for v in f.value_rows(X)] == [f.value(x).hex() for x in X]
+        assert f.gradient_rows(X).tobytes() == np.stack([f.gradient(x) for x in X]).tobytes()
+
+    def test_logistic(self):
+        f = synthetic_logistic(60, 5, seed=2)
+        X = np.random.default_rng(0).standard_normal((4, 5))
+        assert [v.hex() for v in f.value_rows(X)] == [f.value(x).hex() for x in X]
+        assert f.gradient_rows(X).tobytes() == np.stack([f.gradient(x) for x in X]).tobytes()

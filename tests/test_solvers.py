@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_psd_quadratic
 from admmq.experiments import InstanceSpec, generate_instance
-from admmq.objectives import QuadraticObjective, synthetic_logistic
+from admmq.objectives import QuadraticObjective, SmoothObjective, synthetic_logistic
 from admmq.rng import RunRng
 from admmq.sets import binary_set, uniform_lattice
 from admmq.solvers import (
@@ -28,6 +28,7 @@ from admmq.solvers import (
     initial_state,
     pgd_step,
     run,
+    run_lanes,
 )
 
 # f(x) = 1/2 (x - 0.4)^2, expressed with its constant so f(0) = 0.08
@@ -656,6 +657,112 @@ class TestCycleRetirement:
         assert (res.iterations_run, res.cycle_period) == (100, 0)
 
 
+class _GradientOnly(SmoothObjective):
+    """A quadratic the solvers do not recognise, so that every x-update descends."""
+
+    def __init__(self, q: QuadraticObjective):
+        self._q = q
+        self.dim, self.lipschitz_L = q.dim, q.lipschitz_L
+        self.weak_convexity_mu = q.weak_convexity_mu
+
+    def value(self, x):
+        return self._q.value(x)
+
+    def gradient(self, x):
+        return self._q.gradient(x)
+
+
+# mu = 0.77 and L_f = 3.27; unbounded below over Z^3, so small rho diverges
+INDEFINITE = QuadraticObjective(
+    Q=[[3.0, 1.0, 0.0], [1.0, -0.5, 0.0], [0.0, 0.0, 2.0]], b=[0.7, -1.3, 0.4]
+)
+
+
+def assert_same_outcome(got, want):
+    """Two run outcomes agree field by field, bit for bit."""
+    if isinstance(want, SolverError):
+        assert type(got) is type(want) and str(got) == str(want)
+        assert getattr(got, "iteration", None) == getattr(want, "iteration", None)
+        return
+    assert not isinstance(got, SolverError), got
+    got_trace, want_trace = got.trace.as_arrays(), want.trace.as_arrays()
+    for col in RunTrace.COLUMNS:
+        assert_same_bits(got_trace[col], want_trace[col])
+    for name in ("x", "y", "lam"):
+        assert_same_bits(getattr(got.state, name), getattr(want.state, name))
+    for name in ("best_objective", "initial_objective", "final_objective", "final_step_norm"):
+        assert_same_bits(getattr(got, name), getattr(want, name))
+    fields = ("y_stable_iters", "iterations_run", "cycle_period")
+    assert [getattr(got, k) for k in fields] == [getattr(want, k) for k in fields]
+    assert (got.state.r, got.state.inner_iters) == (want.state.r, want.state.inner_iters)
+
+
+def lane_kinds(method, f, dset, configs):
+    """Run the configs as lanes, check each against a run of its own; the outcome kinds."""
+    kinds = set()
+    for config, got in zip(configs, run_lanes(method, f, dset, configs), strict=True):
+        try:
+            want = run(method, f, dset, config)
+        except SolverError as exc:
+            want = exc
+        assert_same_outcome(got, want)
+        if isinstance(want, SolverError):
+            kinds.add({InnerSolverError: "inner", DivergenceError: "diverged"}.get(type(want), "rejected"))
+        else:
+            kinds.add("cycle" if want.iterations_run < config.max_iters else "budget")
+    return kinds
+
+
+class TestRunLanes:
+    """Lanes of one ``run_lanes`` call give, bit for bit, what each gives alone."""
+
+    @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s"])
+    def test_mixed_lanes_match_single_runs(self, method):
+        base = SolverConfig(
+            rho=40.0, max_iters=200, window=20, seed=3, mask_prob=0.8, beta=0.5,
+            gamma=0.5 if method == "iadmm-q" else 0.0, init_scale=3.0, trace_stride=7,
+        )
+        variants = [
+            dict(rho=0.9),  # below L_f: diverges
+            dict(rho=0.9, mask_prob=1.0, seed=5),
+            dict(rho=0.5),  # below mu: no x-update
+            dict(),  # above L_f: frozen
+            dict(beta=1e4, seed=6),  # admm-s on the projection
+            dict(max_iters=5),
+            dict(rho=2.0, seed=4, window=1, trace_stride=1),
+            dict(rho=1.2, seed=7),
+            dict(inner=InnerSolverConfig(max_inner_iters=1)),
+        ]
+        configs = [dataclasses.replace(base, **v) for v in variants]
+        kinds = lane_kinds(method, INDEFINITE, uniform_lattice(3, 1.0), configs)
+        # gradient-descent x-updates for every method, one of them starved
+        kinds |= lane_kinds(method, _GradientOnly(INDEFINITE), uniform_lattice(3, 1.0), configs[-3:])
+        expected = {"budget", "inner", "rejected"}
+        if method != "iadmm-q":
+            expected |= {"diverged", "cycle"}
+        assert expected <= kinds
+
+    @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s", "pgd"])
+    def test_lanes_sharing_rho_share_one_solve(self, method):
+        configs = [
+            SolverConfig(rho=rho, max_iters=300, seed=seed, mask_prob=p, beta=1.0, gamma=0.5)
+            for rho in (0.01, 10.0, 1e3, 1e5)
+            for seed, p in ((11, 0.1), (12, 0.9), (13, 1.0))
+        ]
+        lane_kinds(method, D16.objective, D16.dset, configs)
+
+    def test_gd_proj_lanes_run_one_by_one(self):
+        configs = [SolverConfig(seed=s, max_iters=m) for s in (1, 2) for m in (0, 1)]
+        lane_kinds("gd-proj", D16.objective, D16.dset, configs)
+
+    def test_no_lanes(self):
+        assert run_lanes("admm-q", D16.objective, D16.dset, []) == []
+
+    def test_unknown_method_rejected(self):
+        with pytest.raises(ValueError, match="unknown method"):
+            run_lanes("sgd", D16.objective, D16.dset, [SolverConfig()])
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -672,6 +779,13 @@ class TestConfigValidation:
             SolverConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolverConfig(window=0)
+
+    @pytest.mark.parametrize("name", ["max_iters", "window", "trace_stride"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, math.inf, math.nan, "10"])
+    def test_counts_must_be_integers(self, name, value):
+        with pytest.raises(ValueError):
+            SolverConfig(**{name: value})
+        SolverConfig(**{name: np.int64(10)})
 
     def test_inner_validation(self):
         with pytest.raises(ValueError):

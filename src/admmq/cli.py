@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -303,8 +304,13 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_verify_conditions(args) -> int:
-    if not args.rho > 0:
-        return _fail(f"rho must be positive, got {args.rho}", EXIT_USAGE)
+    try:  # SolverConfig holds the rules for rho and gamma
+        SolverConfig(rho=args.rho, gamma=0.0 if args.gamma is None else args.gamma)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_USAGE)
+    for flag, value in (("--Lf", args.Lf), ("--mu", args.mu)):
+        if not (0 <= value < math.inf):
+            return _fail(f"{flag} must be non-negative and finite, got {value}", EXIT_USAGE)
     payload = {
         "L_f": args.Lf,
         "mu": args.mu,

@@ -60,10 +60,12 @@ class InstanceSpec:
     def __post_init__(self):
         if self.d < 1:
             raise ValueError("d must be positive")
-        if not (self.v > 0):
-            raise ValueError("v must be positive")
-        if self.sigma_q_sq < 0:
-            raise ValueError("sigma_q_sq must be non-negative")
+        if not (0 < self.v < math.inf):
+            raise ValueError(f"v must be positive and finite, got {self.v}")
+        if not (0 <= self.sigma_q_sq < math.inf):
+            raise ValueError(f"sigma_q_sq must be non-negative and finite, got {self.sigma_q_sq}")
+        if self.b_scale is not None and not math.isfinite(self.b_scale):
+            raise ValueError(f"b_scale must be finite, got {self.b_scale}")
 
     @property
     def effective_b_scale(self) -> float:
@@ -158,25 +160,15 @@ class ProtocolSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("n_inits", "iters_admm", "iters_pgd", "window"):
-            if not isinstance(getattr(self, name), numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
-        if self.n_inits < 1:
-            raise ValueError("n_inits must be positive")
+        if not isinstance(self.n_inits, numbers.Integral) or self.n_inits < 1:
+            raise ValueError(f"n_inits must be a positive integer, got {self.n_inits}")
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        for name in ("rho_grid", "beta_grid"):
-            if not all(v > 0 for v in getattr(self, name)):
-                raise ValueError(f"every {name} value must be positive, got {getattr(self, name)}")
-        if not all(0 < p <= 1 for p in self.p_grid):
-            raise ValueError(f"every p_grid value must be in (0, 1], got {self.p_grid}")
-        if not (self.gamma >= 0):
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if self.iters_admm < 0 or self.iters_pgd < 0:
-            raise ValueError("iteration budgets must be non-negative")
-        if self.window < 1:
-            raise ValueError(f"window must be positive, got {self.window}")
+        # every other value is checked where it is used: in a run's SolverConfig
+        for algorithm in METHODS:
+            for hyper in self.grid_for(algorithm):
+                _make_config(algorithm, hyper, self, seed=0)
 
     @classmethod
     def paper(cls, **overrides) -> "ProtocolSpec":
@@ -260,6 +252,11 @@ def init_seed(protocol: ProtocolSpec, instance: GeneratedInstance, init_index: i
     return derive_seed(protocol.seed, instance.spec.seed, init_index)
 
 
+def _hyper_key(hyper: dict) -> str:
+    """The JSON text that names a grid point in records and runs.csv."""
+    return json.dumps(hyper, sort_keys=True)
+
+
 def _execute_task(task) -> list[RunRecord]:
     """Run a block of lanes of one algorithm; a lane's ``SolverError`` marks it diverged."""
     instance, algorithm, lanes, protocol = task
@@ -275,7 +272,7 @@ def _execute_task(task) -> list[RunRecord]:
             RunRecord(
                 instance.instance_id,
                 algorithm,
-                json.dumps(hyper, sort_keys=True),
+                _hyper_key(hyper),
                 init_index,
                 math.nan if failed else out.best_objective,
                 failed,
@@ -302,16 +299,10 @@ class SweepResult:
 
     def _aggregate(self) -> list[GridAggregate]:
         groups: dict[tuple[str, str, str], list[RunRecord]] = {}
-        order: list[tuple[str, str, str]] = []
         for rec in self.records:
-            key = (rec.instance_id, rec.algorithm, rec.hyper)
-            if key not in groups:
-                groups[key] = []
-                order.append(key)
-            groups[key].append(rec)
+            groups.setdefault((rec.instance_id, rec.algorithm, rec.hyper), []).append(rec)
         aggregates = []
-        for key in order:
-            recs = groups[key]
+        for key, recs in groups.items():
             vals = np.array([r.best_objective for r in recs if not r.diverged])
             n_div = sum(r.diverged for r in recs)
             if vals.size:
@@ -357,11 +348,7 @@ class SweepResult:
         return out
 
     def instance_ids(self) -> list[str]:
-        seen: list[str] = []
-        for rec in self.records:
-            if rec.instance_id not in seen:
-                seen.append(rec.instance_id)
-        return seen
+        return list(dict.fromkeys(rec.instance_id for rec in self.records))
 
     @classmethod
     def merge(cls, results: Sequence["SweepResult"]) -> "SweepResult":
@@ -404,71 +391,53 @@ def run_protocol(
 ) -> SweepResult:
     """Execute the full grid x initialization sweep for one instance.
 
-    Each algorithm's grid points and inits run as the lanes of one
-    :func:`~admmq.solvers.run_lanes` call. With ``max_workers > 1`` the lanes
-    are cut, in grid order, into one contiguous block per worker, the blocks
-    go to a process pool, and the records are re-assembled in grid order, so
-    results do not depend on scheduling.
+    A plan names, for each (algorithm, grid point), the run whose records it
+    takes. That is its own run, except at an admm-s grid point whose radius
+    ``beta / rho`` exceeds the set's covering radius: there every soft step
+    lands on the projection, so the point takes admm-q's records at the same
+    rho, and admm-q runs even when the sweep does not include it.
 
-    An admm-s grid point whose radius ``beta / rho`` exceeds the set's
-    covering radius always steps onto the projection, so each of its runs is
-    admm-q's run at the same rho and init: it takes admm-q's record, and
-    runs as admm-q when the sweep does not include admm-q.
+    Each source algorithm's runs, in grid order, are the lanes of
+    :func:`~admmq.solvers.run_lanes`. With ``max_workers > 1`` they are cut
+    into one contiguous block per worker and the blocks go to a process
+    pool; records are read back by (algorithm, grid point, init), so results
+    do not depend on scheduling.
     """
     for alg in algorithms:
         if alg not in METHODS:
             raise ValueError(f"unknown algorithm {alg!r}")
     # a hair above the radius, so that rounding in a distance cannot reach it
     reach = instance.dset.covering_radius() * (1.0 + 1e-9)
+    plan = []  # (algorithm, grid point, source algorithm, source grid point), as record keys
+    for alg in algorithms:
+        for hyper in protocol.grid_for(alg):
+            src, src_hyper = alg, hyper
+            if alg == "admm-s" and hyper["beta"] / hyper["rho"] > reach:
+                src, src_hyper = "admm-q", {"rho": hyper["rho"]}
+            plan.append((alg, _hyper_key(hyper), src, _hyper_key(src_hyper)))
 
-    def projects(alg: str, hyper: dict) -> bool:
-        return alg == "admm-s" and hyper["beta"] / hyper["rho"] > reach
-
-    def grid(alg: str) -> list[tuple[dict, int]]:
-        return [(h, i) for h in protocol.grid_for(alg) for i in range(protocol.n_inits)]
-
-    jobs = [
-        (k, alg, [lane for lane in grid(alg) if not projects(alg, lane[0])])
-        for k, alg in enumerate(algorithms)
-    ]
-    if "admm-s" in algorithms and "admm-q" not in algorithms:
-        borrowed = [
-            (h, i) for h, i in grid("admm-q")
-            if any(projects("admm-s", {**h, "beta": b}) for b in protocol.beta_grid)
+    wanted = {(src, key) for _, _, src, key in plan}
+    tasks = []
+    for src in dict.fromkeys(src for _, _, src, _ in plan):
+        lanes = [
+            (hyper, init_index)
+            for hyper in protocol.grid_for(src)
+            if (src, _hyper_key(hyper)) in wanted
+            for init_index in range(protocol.n_inits)
         ]
-        jobs.append((-1, "admm-q", borrowed))
-    tasks, owners = [], []
-    for k, alg, lanes in jobs:
-        for block in _chunks(lanes, max_workers):
-            tasks.append((instance, alg, block, protocol))
-            owners.append(k)
+        tasks += [(instance, src, block, protocol) for block in _chunks(lanes, max_workers)]
     if max_workers > 1:
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             outputs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
         outputs = [_execute_task(t) for t in tasks]
 
-    ran: dict[int, list[RunRecord]] = {}
-    for k, recs in zip(owners, outputs):
-        ran.setdefault(k, []).extend(recs)
-    projected = {
-        (rec.hyper, rec.init): rec
-        for k, recs in ran.items()
-        if k < 0 or algorithms[k] == "admm-q"
-        for rec in recs
-    }
-    records = []
-    for k, alg in enumerate(algorithms):
-        own = iter(ran.get(k, []))
-        for hyper, init_index in grid(alg):
-            if projects(alg, hyper):
-                rec = projected[(json.dumps({"rho": hyper["rho"]}), init_index)]
-                rec = dataclasses.replace(
-                    rec, algorithm=alg, hyper=json.dumps(hyper, sort_keys=True)
-                )
-            else:
-                rec = next(own)
-            records.append(rec)
+    ran = {(rec.algorithm, rec.hyper, rec.init): rec for recs in outputs for rec in recs}
+    records = [
+        dataclasses.replace(ran[(src, src_key, init_index)], algorithm=alg, hyper=key)
+        for alg, key, src, src_key in plan
+        for init_index in range(protocol.n_inits)
+    ]
     return SweepResult(records, protocol.n_inits)
 
 

@@ -229,17 +229,12 @@ class DiscreteProductSet:
             out[..., idx] = c.project_values(X[..., idx])
         return out
 
-    def project(self, x, validate: bool = True) -> np.ndarray:
-        """Coordinate-wise nearest member of the set (documented tie rule).
-
-        ``validate=False`` skips the finiteness/shape check; callers on hot
-        paths use it after guarding the input themselves. Unchecked, ``x``
-        may also be an (n, dim) array, projected row by row.
-        """
-        return self._project(self._check_point(x) if validate else x)
+    def project(self, x) -> np.ndarray:
+        """Coordinate-wise nearest member of the set (documented tie rule)."""
+        return self._project(self._check_point(x))
 
     def project_many(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise projection of an (n, dim) array."""
+        """Row-wise projection of an (n, dim) array; non-finite rows are the caller's to catch."""
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dim:
             raise ValueError(f"expected (n, {self.dim}) array, got {X.shape}")

@@ -125,12 +125,12 @@ class SolverConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
-        if not (self.rho > 0):
-            raise ValueError(f"rho must be positive, got {self.rho}")
-        if self.gamma < 0:
-            raise ValueError(f"gamma must be non-negative, got {self.gamma}")
-        if not (self.beta > 0):
-            raise ValueError(f"beta must be positive, got {self.beta}")
+        if not (0 < self.rho < math.inf):
+            raise ValueError(f"rho must be positive and finite, got {self.rho}")
+        if not (0 <= self.gamma < math.inf):
+            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
+        if not (0 < self.beta < math.inf):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (0 < self.mask_prob <= 1):
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
         for name in ("max_iters", "window", "trace_stride"):
@@ -290,7 +290,7 @@ def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, iteration, solves, y_r
         i: DivergenceError(f"non-finite projection target at iteration {iteration(i)}", iteration(i))
         for i in _non_finite_rows(Z)
     }
-    Z_proj = dset.project(Z, validate=False)
+    Z_proj = dset.project_many(Z)
     Y_new = y_rule(Z, Z_proj)
     parts, inner = [], None
     for start, stop, x_update in solves:
@@ -341,7 +341,7 @@ def _non_finite_rows(A) -> list:
 def _pgd_lanes(f: SmoothObjective, dset: DiscreteProductSet, X, rho):
     """Projected gradient step of every lane, and the lanes whose target is not finite."""
     T = X - f.gradient_rows(X) / rho
-    return dset.project(T, validate=False), _non_finite_rows(T)
+    return dset.project_many(T), _non_finite_rows(T)
 
 
 def _one_lane(dset, state: IterateState, rho: float, x_update, y_rule) -> IterateState:
@@ -579,28 +579,28 @@ def run(
     Once (x, y, lambda) repeats bit for bit, the rest of the run is periodic
     and whole cycles of it are skipped; the result, trace included, is
     identical to the full budget's. ``iterations_run`` and ``cycle_period``
-    report what was executed. Every iterating method is :func:`run_lanes`
-    with one lane.
+    report what was executed. This is :func:`run_lanes` with one lane.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method != "gd-proj":
-        (result,) = run_lanes(method, f, dset, [config])
-        if isinstance(result, SolverError):
-            raise result
-        return result
+    (result,) = run_lanes(method, f, dset, [config])
+    if isinstance(result, SolverError):
+        raise result
+    return result
+
+
+def _gd_proj(f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig) -> RunResult:
+    """gd-proj's run: :func:`gd_then_project` from the seeded start, or the start at 0 iterations."""
     state = initial_state(dset, config)
     f_y0 = f.value(state.y)
     trace = RunTrace(stride=config.trace_stride)
     if config.max_iters == 0:
         trace.record(0, f_y0, f_y0, 0.0, 0)
-        return RunResult(method, trace, state, f_y0, f_y0, f_y0)
+        return RunResult("gd-proj", trace, state, f_y0, f_y0, f_y0)
     x_fin, ok = gd_then_project(f, dset, state.x)
     val = f.value(x_fin)
     trace.record(0, val, val, 0.0, 0)
     final = IterateState(x=x_fin, y=x_fin.copy(), lam=np.zeros(dset.dim), r=0)
     return RunResult(
-        method=method,
+        method="gd-proj",
         trace=trace,
         state=final,
         best_objective=val,
@@ -666,13 +666,7 @@ def run_lanes(
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     if method == "gd-proj":
-        outcomes = []
-        for config in configs:
-            try:
-                outcomes.append(run(method, f, dset, config))
-            except SolverError as exc:
-                outcomes.append(exc)
-        return outcomes
+        return [_gd_proj(f, dset, c) for c in configs]
     configs = list(configs)
     d, w = dset.dim, 8 * dset.dim  # w: bytes per row
     uses_dual = method != "pgd"

@@ -92,6 +92,16 @@ class TestGenerate:
         code = main(["generate", "--d", "0", "--out", str(tmp_path / "x.json")])
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "flag", [["--sigma-q-sq", "nan"], ["--b-scale", "inf"], ["--v", "inf"]],
+        ids=["sigma-nan", "b-scale-inf", "v-inf"],
+    )
+    def test_rejects_non_finite_parameters(self, tmp_path, capsys, flag):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--d", "2", *flag, "--out", str(out)]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_demo_fixed_point(self, demo_path, capsys):
@@ -207,10 +217,20 @@ class TestSolve:
         ["solve", "--algorithm", "admm-q", "--rho", "2", "--trace-stride", "0"],
         ["solve", "--algorithm", "admm-r", "--rho", "2", "--p", "1.5"],
         ["solve", "--algorithm", "admm-s", "--rho", "2", "--beta", "0"],
+        ["solve", "--algorithm", "admm-q", "--rho", "inf", "--force"],
+        ["solve", "--algorithm", "iadmm-q", "--rho", "2", "--gamma", "nan", "--force"],
         ["verify-conditions", "--Lf", "1", "--rho", "0"],
+        ["verify-conditions", "--Lf", "nan", "--rho", "2"],
+        ["verify-conditions", "--Lf", "1", "--mu", "inf", "--rho", "2"],
+        ["verify-conditions", "--Lf", "1", "--rho", "2", "--gamma", "nan"],
+        ["verify-conditions", "--Lf", "-1", "--rho", "2"],
+        ["verify-conditions", "--Lf", "1", "--mu", "-3", "--rho", "2"],
+        ["verify-conditions", "--Lf", "1", "--rho", "2", "--gamma", "-0.1"],
     ],
     ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
-         "beta-zero", "verify-rho-zero"],
+         "beta-zero", "rho-inf", "gamma-nan", "verify-rho-zero", "verify-Lf-nan",
+         "verify-mu-inf", "verify-gamma-nan", "verify-Lf-negative", "verify-mu-negative",
+         "verify-gamma-negative"],
 )
 def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     if argv[0] == "solve":
@@ -351,6 +371,7 @@ class TestSweep:
             ["--generate", "1", "--algorithms", ","],
             ["--generate", "1", "--bins", "0"],
             ["--instances", "instances", "--generate", "2"],
+            ["--generate", "1", "--sigma-q-sq", "nan"],
         ],
         ids=[
             "no-instances",
@@ -359,6 +380,7 @@ class TestSweep:
             "no-algorithms",
             "bins-zero",
             "instances-and-generate",
+            "sigma-nan",
         ],
     )
     def test_nothing_to_sweep_is_usage_error(self, tmp_path, capsys, argv):

@@ -17,10 +17,11 @@ from admmq.experiments import (
     run_protocol,
     write_histogram_csv,
 )
-from admmq.experiments import init_seed
+from admmq import experiments
+from admmq.experiments import _make_config, init_seed
 from admmq.rng import RunRng
 from admmq.sets import binary_set
-from admmq.solvers import METHODS, SolverConfig, SolverError, run
+from admmq.solvers import METHODS, SolverConfig, SolverError, run, run_lanes
 
 
 def tiny_protocol(**kw):
@@ -94,6 +95,9 @@ class TestGenerateInstance:
             InstanceSpec(d=2, v=0.0)
         with pytest.raises(ValueError):
             InstanceSpec(d=2, sigma_q_sq=-1.0)
+        for bad in (dict(v=math.inf), dict(sigma_q_sq=math.nan), dict(b_scale=math.inf)):
+            with pytest.raises(ValueError):
+                InstanceSpec(d=2, **bad)
 
 
 class TestProtocolSpec:
@@ -159,6 +163,8 @@ class TestProtocolSpec:
             dict(iters_pgd=100.0),
             dict(n_inits=2.5),
             dict(window=math.inf),
+            dict(gamma=math.nan),
+            dict(rho_grid=(math.inf,)),
         ],
     )
     def test_validation_of_values(self, bad):
@@ -338,6 +344,48 @@ class TestLaneSweep:
         reused = {r.hyper for r in softened if json.loads(r.hyper)["beta"] / json.loads(r.hyper)["rho"] > radius}
         assert 0 < len(reused) < 9
         assert_records_fresh(res, inst, protocol)
+
+    @staticmethod
+    def spy_lanes(monkeypatch) -> list:
+        """Wrap the sweep's ``run_lanes``; the list collects (method, config) per lane."""
+        lanes = []
+
+        def spy(method, f, dset, configs):
+            lanes.extend((method, c) for c in configs)
+            return run_lanes(method, f, dset, configs)
+
+        monkeypatch.setattr(experiments, "run_lanes", spy)
+        return lanes
+
+    @pytest.mark.parametrize(
+        "algorithms", [["admm-s", "admm-q"], ["admm-s"], ["admm-q", "admm-s"]]
+    )
+    def test_plan_runs_each_needed_lane_once(self, monkeypatch, algorithms):
+        inst = generate_instance(InstanceSpec(d=3, v=8.0, sigma_q_sq=30.0, seed=12))
+        radius = inst.dset.covering_radius()  # 4 sqrt(3)
+        # beta 1 never reaches the radius; beta 1e4 does at every rho
+        protocol = tiny_protocol(rho_grid=(0.5, 5.0, 500.0), beta_grid=(1.0, 30.0, 1e4))
+        lanes = self.spy_lanes(monkeypatch)
+        run_protocol(inst, algorithms, protocol, max_workers=1)
+        soft = [c for method, c in lanes if method == "admm-s"]
+        assert soft and all(c.beta / c.rho <= radius for c in soft)
+        inits = [init_seed(protocol, inst, i) for i in range(protocol.n_inits)]
+        assert [(c.rho, c.seed) for method, c in lanes if method == "admm-q"] == [
+            (rho, seed) for rho in protocol.rho_grid for seed in inits
+        ]
+
+    def test_lanes_are_each_grid_times_inits_in_order(self, monkeypatch):
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+        protocol = tiny_protocol(gamma=0.5)
+        algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
+        lanes = self.spy_lanes(monkeypatch)
+        run_protocol(inst, algorithms, protocol, max_workers=1)
+        assert lanes == [
+            (alg, _make_config(alg, hyper, protocol, init_seed(protocol, inst, i)))
+            for alg in algorithms
+            for hyper in protocol.grid_for(alg)
+            for i in range(protocol.n_inits)
+        ]
 
     def test_binary_sets_equal_fresh_runs(self):
         inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=13))

@@ -40,9 +40,6 @@ EXIT_USAGE = 2
 EXIT_DIVERGED = 3
 EXIT_INFEASIBLE = 4
 
-ADMM_FAMILY = ("admm-q", "iadmm-q", "admm-r", "admm-s")
-
-
 def _fmt(v: float) -> str:
     return format(float(v), ".12g")
 
@@ -109,9 +106,9 @@ def _feasibility_gate(args, L_f: float, mu: float) -> bool:
         return args.rho >= L_f
     if alg == "iadmm-q":
         return check_iadmm_condition(L_f, mu, args.rho, args.gamma or 0.0)
-    if alg in ADMM_FAMILY:
-        return check_decrease_condition(L_f, mu, args.rho)
-    return True
+    if alg == "gd-proj":
+        return True
+    return check_decrease_condition(L_f, mu, args.rho)
 
 
 def cmd_solve(args) -> int:
@@ -149,11 +146,10 @@ def cmd_solve(args) -> int:
     except SolverError as exc:
         return _fail(f"solver failure: {exc}", EXIT_INFEASIBLE)
 
-    point = result.state.y if args.algorithm in ADMM_FAMILY else result.state.x
     stationary = None
-    try:
+    try:  # the reported point is y; pgd and gd-proj keep y equal to x
         report = is_rho_stationary(
-            inst.objective, inst.dset, point, args.rho, membership_tol=1e-6
+            inst.objective, inst.dset, result.state.y, args.rho, membership_tol=1e-6
         )
         stationary = report.is_stationary
     except ValueError:

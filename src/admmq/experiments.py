@@ -22,7 +22,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .objectives import QuadraticObjective
-from .rng import RunRng, derive_seed
+from .rng import RunRng, check_seed, derive_seed
 from .sets import DiscreteProductSet, uniform_lattice
 from .solvers import METHODS, SolverConfig, SolverError, run_lanes
 
@@ -66,6 +66,7 @@ class InstanceSpec:
             raise ValueError(f"sigma_q_sq must be non-negative and finite, got {self.sigma_q_sq}")
         if self.b_scale is not None and not math.isfinite(self.b_scale):
             raise ValueError(f"b_scale must be finite, got {self.b_scale}")
+        check_seed(self.seed)
 
     @property
     def effective_b_scale(self) -> float:
@@ -165,6 +166,7 @@ class ProtocolSpec:
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
+        check_seed(self.seed)
         # every other value is checked where it is used: in a run's SolverConfig
         for algorithm in METHODS:
             for hyper in self.grid_for(algorithm):

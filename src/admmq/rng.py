@@ -7,9 +7,17 @@ stream within this implementation (no cross-library guarantee).
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
-__all__ = ["RunRng", "derive_seed"]
+__all__ = ["RunRng", "check_seed", "derive_seed"]
+
+
+def check_seed(seed) -> None:
+    """Reject what numpy's seeding cannot take: a seed is a non-negative integer."""
+    if not isinstance(seed, numbers.Integral) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 
 class RunRng:
@@ -39,6 +47,5 @@ class RunRng:
 
 def derive_seed(*parts: int) -> int:
     """Deterministic 64-bit sub-seed from integer parts (e.g. run index)."""
-    entropy = [abs(int(p)) for p in parts]
-    ss = np.random.SeedSequence(entropy)
+    ss = np.random.SeedSequence([int(p) for p in parts])
     return int(ss.generate_state(1, dtype=np.uint64)[0])

@@ -39,7 +39,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .objectives import QuadraticObjective, SmoothObjective
-from .rng import RunRng
+from .rng import RunRng, check_seed
 from .sets import DiscreteProductSet
 
 __all__ = [
@@ -138,6 +138,9 @@ class SolverConfig:
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")
+        check_seed(self.seed)
+        if self.init_scale is not None and not (0 <= self.init_scale < math.inf):
+            raise ValueError(f"init_scale must be non-negative and finite, got {self.init_scale}")
         if self.window < 1:
             raise ValueError("window must be positive")
         if self.trace_stride < 1:
@@ -273,26 +276,33 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, iteration, solves, y_rule):
+def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, solves, masks=None, radius=None):
     """One iteration of the ADMM family for every lane; rows of the arrays are lanes.
 
-    Projects each target ``z = x + lambda/rho``, lets ``y_rule(Z, Z_proj)``
-    pick the new y, minimizes the Lagrangian in x, and ascends lambda.
-    ``rho`` is a number or a column with one entry per lane,
-    ``iteration(i)`` is lane i's iteration count, and ``solves`` lists
-    ``(start, stop, x_update)`` for each block of lanes that shares an
-    x-solver. Returns the new X, Y and Lam, the inner steps per lane (None
-    when every solve is direct), ``Z_proj``, and ``{lane: error}`` for the
-    lanes whose step could not be carried out.
+    Projects each target ``z = x + lambda/rho`` and takes y from the
+    projection: as it is (admm-q, iadmm-q), where ``masks`` is True with the
+    old y kept elsewhere (admm-r), or moved from z toward it by at most
+    ``radius`` (admm-s). Then minimizes the Lagrangian in x and ascends
+    lambda. ``rho`` and ``radius`` are numbers or columns with one entry per
+    lane, and ``solves`` lists ``(start, stop, x_update)`` for each block of
+    lanes that shares an x-solver. Returns the new X, Y and Lam, the inner
+    steps per lane (None when every solve is direct), ``Z_proj``, the lanes
+    whose target is not finite, and ``{lane: error}`` for the other lanes
+    whose x-solve could not be carried out.
     """
     Z = X + Lam / rho
-    errors = {
-        i: DivergenceError(f"non-finite projection target at iteration {iteration(i)}", iteration(i))
-        for i in _non_finite_rows(Z)
-    }
+    bad = _non_finite_rows(Z)
     Z_proj = dset.project_many(Z)
-    Y_new = y_rule(Z, Z_proj)
-    parts, inner = [], None
+    if masks is not None:
+        Y_new = np.where(masks, Z_proj, Y)
+    elif radius is not None:
+        D = Z_proj - Z
+        # np.linalg.norm of each row, bit for bit: one dot product per row
+        dist = np.sqrt(np.matmul(D[:, None], D[:, :, None])).reshape(len(D), 1)
+        Y_new = np.where((radius > dist) | (dist == 0.0), Z_proj, Z + radius * (D / dist))
+    else:
+        Y_new = Z_proj
+    parts, inner, errors = [], None, {}
     for start, stop, x_update in solves:
         if isinstance(x_update, _ClosedFormX):
             parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
@@ -300,7 +310,7 @@ def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, iteration, solves, y_r
         block = np.empty((stop - start, X.shape[1]))
         inner = np.zeros(len(X), dtype=int) if inner is None else inner
         for i in range(start, stop):
-            if i not in errors:
+            if i not in bad:
                 try:
                     block[i - start], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
                 except SolverError as exc:
@@ -308,27 +318,7 @@ def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, iteration, solves, y_r
         parts.append(block)
     X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
     Lam_new = Lam + rho * (X_new - Y_new)
-    return X_new, Y_new, Lam_new, inner, Z_proj, errors
-
-
-def _take_projection(Z, Z_proj):
-    return Z_proj
-
-
-def _soften(radius):
-    """admm-s's y-rule: move each z toward its projection by at most ``radius``."""
-    # a positive radius exceeds a distance of 0, so that test is then implied
-    positive = bool(np.all(np.asarray(radius) > 0))
-
-    def rule(Z, Z_proj):
-        D = Z_proj - Z
-        n, d = D.shape
-        # np.linalg.norm of each row, bit for bit: one dot product per row
-        dist = np.sqrt(np.matmul(D[:, None], D[:, :, None])).reshape(n, 1)
-        take = radius > dist if positive else (dist == 0.0) | (radius > dist)
-        return np.where(take, Z_proj, Z + radius * (D / dist))
-
-    return rule
+    return X_new, Y_new, Lam_new, inner, Z_proj, bad, errors
 
 
 def _non_finite_rows(A) -> list:
@@ -344,13 +334,17 @@ def _pgd_lanes(f: SmoothObjective, dset: DiscreteProductSet, X, rho):
     return dset.project_many(T), _non_finite_rows(T)
 
 
-def _one_lane(dset, state: IterateState, rho: float, x_update, y_rule) -> IterateState:
+def _one_lane(
+    dset, state: IterateState, rho: float, x_update, masks=None, radius=None
+) -> IterateState:
     """The lane step at n = 1."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        X, Y, Lam, inner, _, errors = _admm_lanes(
-            dset, state.x[None], state.y[None], state.lam[None], rho, lambda i: state.r,
-            [(0, 1, x_update)], y_rule,
+        X, Y, Lam, inner, _, bad, errors = _admm_lanes(
+            dset, state.x[None], state.y[None], state.lam[None], rho,
+            [(0, 1, x_update)], masks, radius,
         )
+    if bad:
+        raise DivergenceError(f"non-finite projection target at iteration {state.r}", state.r)
     if errors:
         raise errors[0]
     n_inner = 0 if inner is None else int(inner[0])
@@ -370,7 +364,7 @@ def admm_q_step(
     ``(Q + rho I) x = rho y - lambda - b``.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane(dset, state, rho, x_update, _take_projection)
+    return _one_lane(dset, state, rho, x_update)
 
 
 def iadmm_q_step(
@@ -387,7 +381,7 @@ def iadmm_q_step(
     floor and the trajectory matches the exact method to inner tolerance.
     """
     x_update = x_update or build_x_update(f, rho, gamma=gamma)
-    return _one_lane(dset, state, rho, x_update, _take_projection)
+    return _one_lane(dset, state, rho, x_update)
 
 
 def admm_r_step(
@@ -407,9 +401,7 @@ def admm_r_step(
     """
     x_update = x_update or build_x_update(f, rho)
     mask = rng.bernoulli(mask_prob, dset.dim)
-    return _one_lane(
-        dset, state, rho, x_update, lambda Z, Z_proj: np.where(mask, Z_proj, state.y)
-    )
+    return _one_lane(dset, state, rho, x_update, masks=mask)
 
 
 def admm_s_step(
@@ -426,7 +418,7 @@ def admm_s_step(
     projection itself and the step coincides with the exact method.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane(dset, state, rho, x_update, _soften(beta / rho))
+    return _one_lane(dset, state, rho, x_update, radius=beta / rho)
 
 
 def pgd_step(
@@ -617,13 +609,18 @@ def _key(x, y, lam) -> bytes:
 
 
 class _Lane:
-    """Bookkeeping of one lane of :func:`run_lanes`; its iterate is a row elsewhere."""
+    """One lane of :func:`run_lanes`: its run's config, stream, x-solver, trace and window.
 
-    __slots__ = ("i", "config", "block", "off", "moved", "fy", "saved", "since", "power",
-                 "period", "skip", "skipped", "rows")
+    The lane's iterate is a row of the kernel's arrays.
+    """
 
-    def __init__(self, i: int, config: SolverConfig, block: int, fy: float, key: bytes):
-        self.i, self.config, self.block, self.fy = i, config, block, fy
+    __slots__ = ("i", "config", "rng", "updater", "trace", "window", "f_y0", "off", "moved",
+                 "saved", "since", "power", "period", "skip", "skipped", "rows")
+
+    def __init__(self, i: int, config: SolverConfig, rng: RunRng, updater, f_y0: float, key: bytes):
+        self.i, self.config, self.rng, self.updater, self.f_y0 = i, config, rng, updater, f_y0
+        self.trace = RunTrace(stride=config.trace_stride)
+        self.window = deque([f_y0], maxlen=config.window)  # f(y) of the trailing iterations
         self.off = 0  # the lane's iteration count is t + off
         self.moved = 0  # the t at which y last changed: y has been stable for t - moved
         # Brent's method: the saved iterate's bits (None once the lane stops
@@ -634,6 +631,16 @@ class _Lane:
         # more cycle has recorded its trace rows, and the iterations skipped
         self.period = self.skip = self.skipped = 0
         self.rows: list = []
+
+
+def _solver_blocks(lanes) -> list:
+    """``(start, stop, x_update)`` for each run of adjacent lanes that share an x-solver."""
+    out, start = [], 0
+    for updater, members in itertools.groupby(lanes, key=lambda lane: lane.updater):
+        stop = start + len(list(members))
+        out.append((start, stop, updater))
+        start = stop
+    return out
 
 
 def run_lanes(
@@ -670,11 +677,6 @@ def run_lanes(
     configs = list(configs)
     d, w = dset.dim, 8 * dset.dim  # w: bytes per row
     uses_dual = method != "pgd"
-    rngs = [RunRng(c.seed) for c in configs]
-    starts = [initial_state(dset, c, rng) for c, rng in zip(configs, rngs)]
-    f_y0 = [f.value(s.y) for s in starts]
-    windows = [deque([v], maxlen=c.window) for v, c in zip(f_y0, configs)]
-    traces = [RunTrace(stride=c.trace_stride) for c in configs]
     outcomes: list = [None] * len(configs)
 
     def lagrangian(lane, x, y, lam) -> float:
@@ -688,11 +690,11 @@ def run_lanes(
     def finish(lane, state, step_norm, y_stable):
         outcomes[lane.i] = RunResult(
             method=method,
-            trace=traces[lane.i],
+            trace=lane.trace,
             state=state,
-            best_objective=float(min(windows[lane.i])),
-            initial_objective=f_y0[lane.i],
-            final_objective=float(windows[lane.i][-1]),
+            best_objective=float(min(lane.window)),
+            initial_objective=lane.f_y0,
+            final_objective=float(lane.window[-1]),
             final_step_norm=step_norm,
             y_stable_iters=y_stable,
             iterations_run=lane.config.max_iters - lane.skipped,
@@ -704,7 +706,7 @@ def run_lanes(
     for i, c in enumerate(configs):
         gamma = c.gamma if method == "iadmm-q" else None
         groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
-    lanes, updaters = [], []
+    lanes, starts = [], []
     for (rho, gamma, _), members in groups.items():
         try:
             updater = build_x_update(f, rho, configs[members[0]].inner, gamma) if uses_dual else None
@@ -713,40 +715,21 @@ def run_lanes(
                 outcomes[i] = exc
             continue
         for i in members:
-            s = starts[i]
-            lane = _Lane(i, configs[i], len(updaters), f_y0[i], _key(s.x, s.y, s.lam))
-            traces[i].record(0, lagrangian(lane, s.x, s.y, s.lam), f_y0[i], 0.0, 0)
+            rng = RunRng(configs[i].seed)
+            s = initial_state(dset, configs[i], rng)
+            lane = _Lane(i, configs[i], rng, updater, f.value(s.y), _key(s.x, s.y, s.lam))
+            lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
             if configs[i].max_iters:
                 lanes.append(lane)
+                starts.append(s)
             else:
                 finish(lane, s, math.inf, 0)
-        updaters.append(updater)
 
-    def blocks():
-        out, start = [], 0
-        for block, members in itertools.groupby(lanes, key=lambda lane: lane.block):
-            stop = start + len(list(members))
-            out.append((start, stop, updaters[block]))
-            start = stop
-        return out
-
-    X = np.array([starts[lane.i].x for lane in lanes]).reshape(len(lanes), d)
-    Y = np.array([starts[lane.i].y for lane in lanes]).reshape(len(lanes), d)
-    Lam = np.array([starts[lane.i].lam for lane in lanes]).reshape(len(lanes), d)
+    X, Y, Lam = (np.array([getattr(s, k) for s in starts]).reshape(len(lanes), d)
+                 for k in ("x", "y", "lam"))
     rho = np.array([[lane.config.rho] for lane in lanes])
     radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
-    solves, soften, t = blocks(), _soften(radius), 0
-
-    def compact(keep, *more):
-        """Keep the lanes at positions ``keep``; returns ``more`` cut the same way."""
-        nonlocal X, Y, Lam, rho, radius, lanes, solves, soften
-        X, Y, Lam, rho, radius = (a[keep] for a in (X, Y, Lam, rho, radius))
-        lanes = [lanes[p] for p in keep]
-        solves, soften = blocks(), _soften(radius)
-        return [None if a is None else a[keep] for a in more]
-
-    def iteration(pos):
-        return t - 1 + lanes[pos].off
+    solves, t = _solver_blocks(lanes), 0
 
     # overflow on the way to +-inf is the divergence signal, not a bug
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -755,29 +738,29 @@ def run_lanes(
             Xp, Yp = X, Y
             if method == "pgd":
                 X, bad = _pgd_lanes(f, dset, X, rho)
-                Y, inner, y_hat = X, None, None
-                errors = {i: DivergenceError("non-finite projected-gradient target") for i in bad}
+                Y, inner, y_hat, errors = X, None, None, {}
             else:
+                masks = None
                 if method == "admm-r":
                     masks = np.array(
-                        [rngs[lane.i].bernoulli(lane.config.mask_prob, d) for lane in lanes]
+                        [lane.rng.bernoulli(lane.config.mask_prob, d) for lane in lanes]
                     )
-                    rule = lambda Z, Z_proj: np.where(masks, Z_proj, Yp)  # noqa: E731
-                elif method == "admm-s":
-                    rule = soften
-                else:
-                    rule = _take_projection
-                X, Y, Lam, inner, y_hat, errors = _admm_lanes(
-                    dset, X, Y, Lam, rho, iteration, solves, rule
+                X, Y, Lam, inner, y_hat, bad, errors = _admm_lanes(
+                    dset, X, Y, Lam, rho, solves, masks, radius if method == "admm-s" else None
                 )
             fys = f.value_rows(Y)
+            ended = set()  # lanes that fail or spend their budget at this t
             # lambda + rho (x - y) is finite only if x is
-            if errors or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
-                keep = []
+            if bad or errors or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
                 for pos, lane in enumerate(lanes):
                     r = t + lane.off
                     exc = errors.get(pos)
-                    if isinstance(exc, DivergenceError):
+                    if pos in bad:
+                        exc = DivergenceError(
+                            "non-finite projected-gradient target" if method == "pgd"
+                            else f"non-finite projection target at iteration {r - 1}", r
+                        )
+                    elif isinstance(exc, DivergenceError):
                         exc = DivergenceError(str(exc), iteration=r)
                     elif exc is None:
                         for what, ok in (("x", np.isfinite(X[pos]).all()),
@@ -786,30 +769,26 @@ def run_lanes(
                             if not ok:
                                 exc = DivergenceError(f"non-finite {what} at iteration {r}", r)
                                 break
-                    if exc is None:
-                        keep.append(pos)
-                    else:
+                    if exc is not None:
                         outcomes[lane.i] = exc
-                if len(keep) < len(lanes):
-                    fys = [fys[p] for p in keep]
-                    Xp, Yp, y_hat, inner = compact(keep, Xp, Yp, y_hat, inner)
+                        ended.add(pos)
 
             # bits of the rows, for the comparisons below
             xb, yb, ypb, yhb = X.tobytes(), None, None, None
             if method == "admm-r":
                 yhb, ypb = y_hat.tobytes(), Yp.tobytes()
-            done = set()
             for pos, lane in enumerate(lanes):
+                if pos in ended:
+                    continue
                 c, fy = lane.config, fys[pos]
                 row_bytes = slice(pos * w, pos * w + w)
-                windows[lane.i].append(fy)
-                if fy != lane.fy:
+                if fy != lane.window[-1]:
                     lane.moved = t
                 else:  # an equal f(y) needs a look at y itself
                     yb, ypb = yb or Y.tobytes(), ypb or Yp.tobytes()
                     if yb[row_bytes] != ypb[row_bytes] and not np.array_equal(Y[pos], Yp[pos]):
                         lane.moved = t
-                lane.fy = fy
+                lane.window.append(fy)
                 r = t + lane.off
                 on_stride = r % c.trace_stride == 0 or r == c.max_iters
                 collecting = lane.skip > 0
@@ -822,14 +801,14 @@ def run_lanes(
                         0 if inner is None else int(inner[pos]),
                     )
                     if on_stride:
-                        traces[lane.i].record(r, *row)
+                        lane.trace.record(r, *row)
                     if collecting:
                         lane.rows.append(row)
                         if len(lane.rows) == lane.period:
                             # rows repeat by phase; the last `period` rows are one cycle
                             stride, skip = c.trace_stride, lane.skip
                             for j in range(r - r % stride + stride, r + skip + 1, stride):
-                                traces[lane.i].record(j, *lane.rows[(j - r - 1) % lane.period])
+                                lane.trace.record(j, *lane.rows[(j - r - 1) % lane.period])
                             if t - lane.moved >= lane.period:  # y was constant over the cycle
                                 lane.moved -= skip
                             lane.off, lane.skipped, lane.skip = lane.off + skip, skip, 0
@@ -854,7 +833,10 @@ def run_lanes(
                         0 if inner is None else int(inner[pos]),
                     )
                     finish(lane, state, math.sqrt(float(dx @ dx)), t - lane.moved)
-                    done.add(pos)
-            if done:
-                compact([p for p in range(len(lanes)) if p not in done])
+                    ended.add(pos)
+            if ended:
+                keep = [p for p in range(len(lanes)) if p not in ended]
+                X, Y, Lam, rho, radius = (a[keep] for a in (X, Y, Lam, rho, radius))
+                lanes = [lanes[p] for p in keep]
+                solves = _solver_blocks(lanes)
     return outcomes

@@ -102,6 +102,12 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_rejects_negative_seed(self, tmp_path, capsys):
+        out = tmp_path / "x.json"
+        assert main(["generate", "--d", "2", "--seed", "-3", "--out", str(out)]) == 2
+        assert "error: seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolve:
     def test_demo_fixed_point(self, demo_path, capsys):
@@ -219,6 +225,10 @@ class TestSolve:
         ["solve", "--algorithm", "admm-s", "--rho", "2", "--beta", "0"],
         ["solve", "--algorithm", "admm-q", "--rho", "inf", "--force"],
         ["solve", "--algorithm", "iadmm-q", "--rho", "2", "--gamma", "nan", "--force"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--seed", "-1"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--init-scale", "inf"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--init-scale", "nan"],
+        ["solve", "--algorithm", "admm-q", "--rho", "2", "--init-scale", "-1"],
         ["verify-conditions", "--Lf", "1", "--rho", "0"],
         ["verify-conditions", "--Lf", "nan", "--rho", "2"],
         ["verify-conditions", "--Lf", "1", "--mu", "inf", "--rho", "2"],
@@ -228,7 +238,8 @@ class TestSolve:
         ["verify-conditions", "--Lf", "1", "--rho", "2", "--gamma", "-0.1"],
     ],
     ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
-         "beta-zero", "rho-inf", "gamma-nan", "verify-rho-zero", "verify-Lf-nan",
+         "beta-zero", "rho-inf", "gamma-nan", "seed-negative", "init-scale-inf",
+         "init-scale-nan", "init-scale-negative", "verify-rho-zero", "verify-Lf-nan",
          "verify-mu-inf", "verify-gamma-nan", "verify-Lf-negative", "verify-mu-negative",
          "verify-gamma-negative"],
 )
@@ -236,7 +247,8 @@ def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     if argv[0] == "solve":
         argv = [*argv, "--instance", demo_path]
     assert main(argv) == 2
-    assert "error:" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "error:" in err and out == ""
 
 
 class TestCheckStationary:
@@ -372,6 +384,7 @@ class TestSweep:
             ["--generate", "1", "--bins", "0"],
             ["--instances", "instances", "--generate", "2"],
             ["--generate", "1", "--sigma-q-sq", "nan"],
+            ["--generate", "1", "--seed", "-3"],
         ],
         ids=[
             "no-instances",
@@ -381,6 +394,7 @@ class TestSweep:
             "bins-zero",
             "instances-and-generate",
             "sigma-nan",
+            "seed-negative",
         ],
     )
     def test_nothing_to_sweep_is_usage_error(self, tmp_path, capsys, argv):
@@ -391,8 +405,10 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "protocol",
-        [{"rho_grid": [-1]}, {"window": 0}, {"p_grid": [0]}, {"rho_grid": 5}],
-        ids=["rho-negative", "window-zero", "p-zero", "grid-not-a-list"],
+        [{"rho_grid": [-1]}, {"window": 0}, {"p_grid": [0]}, {"rho_grid": 5}, {"seed": -1},
+         {"seed": 1.5}],
+        ids=["rho-negative", "window-zero", "p-zero", "grid-not-a-list", "seed-negative",
+             "seed-fraction"],
     )
     def test_bad_protocol_is_usage_error(self, tmp_path, capsys, protocol):
         path = tmp_path / "protocol.json"

@@ -165,6 +165,8 @@ class TestProtocolSpec:
             dict(window=math.inf),
             dict(gamma=math.nan),
             dict(rho_grid=(math.inf,)),
+            dict(seed=-1),
+            dict(seed=1.5),
         ],
     )
     def test_validation_of_values(self, bad):

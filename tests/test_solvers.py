@@ -763,6 +763,50 @@ class TestRunLanes:
             run_lanes("sgd", D16.objective, D16.dset, [SolverConfig()])
 
 
+# f(x) = 1/2 1e-3 x^2 + 1.5e308 x: x + lambda/rho overflows once lambda ~ -f'(x)
+HUGE_SLOPE = QuadraticObjective(Q=[[1e-3]], b=[1.5e308])
+UNIT_1D = QuadraticObjective(Q=[[1.0]], b=[0.0])
+STIFF_2D = QuadraticObjective(Q=np.diag([100.0, 1.0]), b=[1.0, 1.0])
+
+
+class TestDivergenceTexts:
+    """Each way a run can diverge, with its exact message and iteration."""
+
+    @pytest.mark.parametrize(
+        "method, f, config, text, iteration",
+        [
+            *[(m, HUGE_SLOPE, SolverConfig(rho=1.0),
+               "non-finite projection target at iteration 1", 2)
+              for m in ("admm-q", "admm-r", "admm-s")],
+            ("pgd", UNIT_1D, SolverConfig(rho=1e-3, init_scale=1e307),
+             "non-finite projected-gradient target", 1),
+            ("admm-q", UNIT_1D, SolverConfig(rho=1e10, init_scale=1e300),
+             "non-finite x at iteration 1", 1),
+            ("admm-q", HUGE_SLOPE, SolverConfig(rho=0.6, init_scale=1.5e308, seed=1),
+             "non-finite lambda at iteration 1", 1),
+            ("admm-q", INDEFINITE, SolverConfig(rho=0.9, init_scale=3.0, seed=3),
+             "non-finite objective at iteration 191", 191),
+            ("pgd", STIFF_2D, SolverConfig(rho=0.01), "non-finite objective at iteration 39", 39),
+            ("iadmm-q", STIFF_2D, SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
+             "non-finite iterate in inner gradient descent", 1),
+        ],
+        ids=["target-admm-q", "target-admm-r", "target-admm-s", "target-pgd", "x", "lambda",
+             "objective", "objective-pgd", "inner-gd"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # starts near the double limit
+    def test_message_and_iteration(self, method, f, config, text, iteration):
+        config = dataclasses.replace(config, max_iters=300, mask_prob=0.5, beta=0.5)
+        with pytest.raises(DivergenceError) as info:
+            run(method, f, uniform_lattice(f.dim, 1.0), config)
+        assert (str(info.value), info.value.iteration) == (text, iteration)
+
+    def test_zero_radius_soft_step(self):
+        # beta/rho underflows to 0: off the set y stays at z, on the set it takes the member
+        off = admm_s_step(UNIT_1D, INTS, state_1d(0.4, 0.0, 0.0), rho=1e10, beta=1e-320)
+        on = admm_s_step(UNIT_1D, INTS, state_1d(2.0, 2.0, 0.0), rho=1e10, beta=1e-320)
+        assert (off.y[0], on.y[0]) == (0.4, 2.0)
+
+
 class TestConfigValidation:
     def test_bad_values(self):
         with pytest.raises(ValueError):
@@ -779,6 +823,17 @@ class TestConfigValidation:
             SolverConfig(max_iters=-1)
         with pytest.raises(ValueError):
             SolverConfig(window=0)
+
+    @pytest.mark.parametrize(
+        "bad", [dict(seed=-1), dict(seed=2.5), dict(init_scale=math.inf),
+                dict(init_scale=math.nan), dict(init_scale=-1.0)],
+    )
+    def test_seed_and_init_scale(self, bad):
+        with pytest.raises(ValueError):
+            SolverConfig(**bad)
+
+    def test_zero_seed_and_init_scale_accepted(self):
+        SolverConfig(seed=0, init_scale=0.0)
 
     @pytest.mark.parametrize("name", ["max_iters", "window", "trace_stride"])
     @pytest.mark.parametrize("value", [10.5, 10.0, math.inf, math.nan, "10"])

@@ -9,6 +9,7 @@ exact ties are legitimate (the target can sit exactly between two members).
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from dataclasses import dataclass
@@ -48,12 +49,7 @@ class StationarityReport:
     tol: float
 
     def to_dict(self) -> dict:
-        return {
-            "is_stationary": self.is_stationary,
-            "candidate": self.candidate.tolist(),
-            "slack": self.slack,
-            "tol": self.tol,
-        }
+        return {**dataclasses.asdict(self), "candidate": self.candidate.tolist()}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())

@@ -99,28 +99,26 @@ def _flag_consistency(args) -> str | None:
     return None
 
 
-def _feasibility_gate(args, L_f: float, mu: float) -> bool:
+def _feasibility_gate(alg: str, config: SolverConfig, L_f: float, mu: float) -> bool:
     """True when the run's parameter condition holds."""
-    alg = args.algorithm
     if alg == "pgd":
-        return args.rho >= L_f
+        return config.rho >= L_f
     if alg == "iadmm-q":
-        return check_iadmm_condition(L_f, mu, args.rho, args.gamma or 0.0)
+        return check_iadmm_condition(L_f, mu, config.rho, config.gamma)
     if alg == "gd-proj":
         return True
-    return check_decrease_condition(L_f, mu, args.rho)
+    return check_decrease_condition(L_f, mu, config.rho)
 
 
 def cmd_solve(args) -> int:
     problem = _flag_consistency(args)
     if problem:
         return _fail(problem, EXIT_USAGE)
+    given = {"gamma": args.gamma, "beta": args.beta, "mask_prob": args.p}
     try:
         config = SolverConfig(
+            **{k: v for k, v in given.items() if v is not None},
             rho=args.rho,
-            gamma=args.gamma if args.gamma is not None else 0.0,
-            beta=args.beta if args.beta is not None else 1.0,
-            mask_prob=args.p if args.p is not None else 1.0,
             max_iters=args.iters,
             seed=args.seed,
             init_scale=args.init_scale,
@@ -133,7 +131,7 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError, KeyError) as exc:
         return _fail(f"cannot load instance: {exc}", EXIT_USAGE)
     L_f, mu = inst.objective.lipschitz_L, inst.objective.weak_convexity_mu
-    if not args.force and not _feasibility_gate(args, L_f, mu):
+    if not args.force and not _feasibility_gate(args.algorithm, config, L_f, mu):
         return _fail(
             f"parameters infeasible for {args.algorithm} (L_f={_fmt(L_f)}, mu={_fmt(mu)}, "
             f"rho={_fmt(args.rho)}); pass --force to run anyway",

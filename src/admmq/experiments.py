@@ -75,13 +75,7 @@ class InstanceSpec:
         return math.sqrt(self.d * self.sigma_q_sq)
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "v": self.v,
-            "sigma_q_sq": self.sigma_q_sq,
-            "b_scale": self.b_scale,
-            "seed": self.seed,
-        }
+        return dataclasses.asdict(self)
 
 
 @dataclass(frozen=True)
@@ -222,26 +216,14 @@ class GridAggregate:
     infeasible: bool  # more than half the runs diverged
 
     def to_dict(self) -> dict:
-        return {
-            "instance_id": self.instance_id,
-            "algorithm": self.algorithm,
-            "hyper": json.loads(self.hyper),
-            "median": self.median,
-            "q25": self.q25,
-            "q75": self.q75,
-            "n_runs": self.n_runs,
-            "n_diverged": self.n_diverged,
-            "infeasible": self.infeasible,
-        }
+        return {**dataclasses.asdict(self), "hyper": json.loads(self.hyper)}
 
 
 def _make_config(algorithm: str, hyper: dict, protocol: ProtocolSpec, seed: int) -> SolverConfig:
+    """The run of one grid point and init; what the grid point leaves out keeps its default."""
     iters = protocol.iters_for(algorithm)
     return SolverConfig(
-        rho=hyper.get("rho", 1.0),
-        gamma=hyper.get("gamma", 0.0),
-        beta=hyper.get("beta", 1.0),
-        mask_prob=hyper.get("p", 1.0),
+        **{"mask_prob" if k == "p" else k: v for k, v in hyper.items()},
         max_iters=iters,
         window=protocol.window,
         seed=seed,
@@ -373,10 +355,7 @@ class SweepResult:
     def summary_dict(self) -> dict:
         return {
             "n_inits": self.n_inits,
-            "best": [
-                {"instance_id": iid, "algorithm": alg, **agg.to_dict()}
-                for (iid, alg), agg in sorted(self.best.items())
-            ],
+            "best": [self.best[key].to_dict() for key in sorted(self.best)],
             "aggregates": [a.to_dict() for a in self.aggregates],
         }
 
@@ -405,9 +384,6 @@ def run_protocol(
     pool; records are read back by (algorithm, grid point, init), so results
     do not depend on scheduling.
     """
-    for alg in algorithms:
-        if alg not in METHODS:
-            raise ValueError(f"unknown algorithm {alg!r}")
     # a hair above the radius, so that rounding in a distance cannot reach it
     reach = instance.dset.covering_radius() * (1.0 + 1e-9)
     plan = []  # (algorithm, grid point, source algorithm, source grid point), as record keys

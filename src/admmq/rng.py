@@ -21,14 +21,11 @@ def check_seed(seed) -> None:
 
 
 class RunRng:
-    """Seeded stream supplying uniforms, normals, and Bernoulli masks."""
+    """Seeded stream supplying normals and Bernoulli masks."""
 
     def __init__(self, seed: int):
         self.seed = int(seed)
         self._gen = np.random.Generator(np.random.PCG64(self.seed))
-
-    def uniform(self, n: int) -> np.ndarray:
-        return self._gen.random(n)
 
     def normal(self, n: int) -> np.ndarray:
         """n standard normals via Box-Muller."""

@@ -82,11 +82,14 @@ class InnerSolverError(SolverError):
 
 
 class DivergenceError(SolverError):
-    """A non-finite iterate appeared; the run is divergent."""
+    """A non-finite iterate appeared; the run is divergent.
 
-    def __init__(self, message: str, iteration: int = -1):
-        super().__init__(message)
-        self.iteration = iteration
+    The text is ``what``, followed by `` at iteration r`` once the iteration is known.
+    """
+
+    def __init__(self, what: str, iteration: int = -1):
+        super().__init__(what if iteration < 0 else f"{what} at iteration {iteration}")
+        self.what, self.iteration = what, iteration
 
 
 @dataclass
@@ -338,15 +341,16 @@ def _one_lane(
     dset, state: IterateState, rho: float, x_update, masks=None, radius=None
 ) -> IterateState:
     """The lane step at n = 1."""
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         X, Y, Lam, inner, _, bad, errors = _admm_lanes(
             dset, state.x[None], state.y[None], state.lam[None], rho,
             [(0, 1, x_update)], masks, radius,
         )
-    if bad:
-        raise DivergenceError(f"non-finite projection target at iteration {state.r}", state.r)
-    if errors:
-        raise errors[0]
+    exc = DivergenceError("non-finite projection target") if bad else errors.get(0)
+    if isinstance(exc, DivergenceError):
+        raise DivergenceError(exc.what, state.r + 1)
+    if exc is not None:
+        raise exc
     n_inner = 0 if inner is None else int(inner[0])
     return IterateState(X[0], Y[0], Lam[0], state.r + 1, n_inner)
 
@@ -471,45 +475,28 @@ def gd_then_project(
 
 
 class RunTrace:
-    """Per-iteration (r, lagrangian, f(y), ||x - y||, inner iterations).
-
-    Rows are kept every ``stride`` iterations plus the final one.
-    """
+    """Rows of (r, lagrangian, f(y), ||x - y||, inner iterations), one per kept iteration."""
 
     COLUMNS = ("r", "lagrangian", "f_y", "residual", "inner_iters")
 
-    def __init__(self, stride: int = 1):
-        self.stride = stride
-        self.r: list[int] = []
-        self.lagrangian: list[float] = []
-        self.f_y: list[float] = []
-        self.residual: list[float] = []
-        self.inner_iters: list[int] = []
+    def __init__(self):
+        self.rows: list[tuple] = []
 
     def record(self, r: int, lagrangian: float, f_y: float, residual: float, inner: int):
-        self.r.append(r)
-        self.lagrangian.append(lagrangian)
-        self.f_y.append(f_y)
-        self.residual.append(residual)
-        self.inner_iters.append(inner)
+        self.rows.append((r, lagrangian, f_y, residual, inner))
 
     def __len__(self) -> int:
-        return len(self.r)
+        return len(self.rows)
 
     def as_arrays(self) -> dict[str, np.ndarray]:
-        return {
-            "r": np.asarray(self.r),
-            "lagrangian": np.asarray(self.lagrangian),
-            "f_y": np.asarray(self.f_y),
-            "residual": np.asarray(self.residual),
-            "inner_iters": np.asarray(self.inner_iters),
-        }
+        return {name: np.asarray([row[k] for row in self.rows])
+                for k, name in enumerate(self.COLUMNS)}
 
     def to_csv(self, path):
         with open(path, "w") as fh:
             fh.write(",".join(self.COLUMNS) + "\n")
-            for row in zip(self.r, self.lagrangian, self.f_y, self.residual, self.inner_iters):
-                fh.write(f"{row[0]},{row[1]!r},{row[2]!r},{row[3]!r},{row[4]}\n")
+            for r, lagrangian, f_y, residual, inner in self.rows:
+                fh.write(f"{r},{lagrangian!r},{f_y!r},{residual!r},{inner}\n")
 
 
 @dataclass
@@ -544,6 +531,7 @@ def initial_state(
 
     The draw's per-coordinate scale defaults to the lattice spacing (1 for
     binary and grid coordinates) and can be overridden via ``init_scale``.
+    A draw that overflows raises :class:`DivergenceError` at iteration 0.
     """
     rng = rng or RunRng(config.seed)
     if config.init_scale is not None:
@@ -551,6 +539,8 @@ def initial_state(
     else:
         scales = dset.init_scales()
     z = rng.normal(dset.dim) * scales
+    if not np.isfinite(z).all():
+        raise DivergenceError("non-finite start", 0)
     x0 = dset.project(z)
     return IterateState(x=x0, y=x0.copy(), lam=np.zeros(dset.dim), r=0)
 
@@ -579,28 +569,23 @@ def run(
     return result
 
 
-def _gd_proj(f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig) -> RunResult:
-    """gd-proj's run: :func:`gd_then_project` from the seeded start, or the start at 0 iterations."""
-    state = initial_state(dset, config)
-    f_y0 = f.value(state.y)
-    trace = RunTrace(stride=config.trace_stride)
-    if config.max_iters == 0:
-        trace.record(0, f_y0, f_y0, 0.0, 0)
-        return RunResult("gd-proj", trace, state, f_y0, f_y0, f_y0)
-    x_fin, ok = gd_then_project(f, dset, state.x)
-    val = f.value(x_fin)
+def _gd_proj(f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig):
+    """gd-proj's run, or the :class:`DivergenceError` of a start that is not finite.
+
+    The run is :func:`gd_then_project` from the seeded start, or the start at 0 iterations.
+    """
+    try:
+        state = initial_state(dset, config)
+    except DivergenceError as exc:
+        return exc
+    f_y0, ok = f.value(state.y), False
+    if config.max_iters:
+        x, ok = gd_then_project(f, dset, state.x)
+        state = IterateState(x=x, y=x.copy(), lam=np.zeros(dset.dim), r=0)
+    val = f.value(state.y)
+    trace = RunTrace()
     trace.record(0, val, val, 0.0, 0)
-    final = IterateState(x=x_fin, y=x_fin.copy(), lam=np.zeros(dset.dim), r=0)
-    return RunResult(
-        method="gd-proj",
-        trace=trace,
-        state=final,
-        best_objective=val,
-        initial_objective=f_y0,
-        final_objective=val,
-        final_step_norm=0.0 if ok else math.inf,
-        y_stable_iters=0,
-    )
+    return RunResult("gd-proj", trace, state, val, f_y0, val, 0.0 if ok else math.inf)
 
 
 def _key(x, y, lam) -> bytes:
@@ -619,7 +604,7 @@ class _Lane:
 
     def __init__(self, i: int, config: SolverConfig, rng: RunRng, updater, f_y0: float, key: bytes):
         self.i, self.config, self.rng, self.updater, self.f_y0 = i, config, rng, updater, f_y0
-        self.trace = RunTrace(stride=config.trace_stride)
+        self.trace = RunTrace()
         self.window = deque([f_y0], maxlen=config.window)  # f(y) of the trailing iterations
         self.off = 0  # the lane's iteration count is t + off
         self.moved = 0  # the t at which y last changed: y has been stable for t - moved
@@ -672,8 +657,6 @@ def run_lanes(
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if method == "gd-proj":
-        return [_gd_proj(f, dset, c) for c in configs]
     configs = list(configs)
     d, w = dset.dim, 8 * dset.dim  # w: bytes per row
     uses_dual = method != "pgd"
@@ -701,38 +684,45 @@ def run_lanes(
             cycle_period=lane.period,
         )
 
-    # lanes are ordered by x-solver, so that each solver's lanes form a block
-    groups: dict = {}
-    for i, c in enumerate(configs):
-        gamma = c.gamma if method == "iadmm-q" else None
-        groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
-    lanes, starts = [], []
-    for (rho, gamma, _), members in groups.items():
-        try:
-            updater = build_x_update(f, rho, configs[members[0]].inner, gamma) if uses_dual else None
-        except SolverError as exc:
-            for i in members:
-                outcomes[i] = exc
-            continue
-        for i in members:
-            rng = RunRng(configs[i].seed)
-            s = initial_state(dset, configs[i], rng)
-            lane = _Lane(i, configs[i], rng, updater, f.value(s.y), _key(s.x, s.y, s.lam))
-            lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
-            if configs[i].max_iters:
-                lanes.append(lane)
-                starts.append(s)
-            else:
-                finish(lane, s, math.inf, 0)
-
-    X, Y, Lam = (np.array([getattr(s, k) for s in starts]).reshape(len(lanes), d)
-                 for k in ("x", "y", "lam"))
-    rho = np.array([[lane.config.rho] for lane in lanes])
-    radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
-    solves, t = _solver_blocks(lanes), 0
-
     # overflow on the way to +-inf is the divergence signal, not a bug
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if method == "gd-proj":
+            return [_gd_proj(f, dset, c) for c in configs]
+        # lanes are ordered by x-solver, so that each solver's lanes form a block
+        groups: dict = {}
+        for i, c in enumerate(configs):
+            gamma = c.gamma if method == "iadmm-q" else None
+            groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
+        lanes, starts = [], []
+        for (rho, gamma, _), members in groups.items():
+            try:
+                updater = (build_x_update(f, rho, configs[members[0]].inner, gamma)
+                           if uses_dual else None)
+            except SolverError as exc:
+                for i in members:
+                    outcomes[i] = exc
+                continue
+            for i in members:
+                rng = RunRng(configs[i].seed)
+                try:
+                    s = initial_state(dset, configs[i], rng)
+                except DivergenceError as exc:
+                    outcomes[i] = exc
+                    continue
+                lane = _Lane(i, configs[i], rng, updater, f.value(s.y), _key(s.x, s.y, s.lam))
+                lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
+                if configs[i].max_iters:
+                    lanes.append(lane)
+                    starts.append(s)
+                else:
+                    finish(lane, s, math.inf, 0)
+
+        X, Y, Lam = (np.array([getattr(s, k) for s in starts]).reshape(len(lanes), d)
+                     for k in ("x", "y", "lam"))
+        rho = np.array([[lane.config.rho] for lane in lanes])
+        radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
+        solves, t = _solver_blocks(lanes), 0
+
         while lanes:
             t += 1
             Xp, Yp = X, Y
@@ -756,18 +746,16 @@ def run_lanes(
                     r = t + lane.off
                     exc = errors.get(pos)
                     if pos in bad:
-                        exc = DivergenceError(
-                            "non-finite projected-gradient target" if method == "pgd"
-                            else f"non-finite projection target at iteration {r - 1}", r
-                        )
+                        what = "projected-gradient" if method == "pgd" else "projection"
+                        exc = DivergenceError(f"non-finite {what} target", r)
                     elif isinstance(exc, DivergenceError):
-                        exc = DivergenceError(str(exc), iteration=r)
+                        exc = DivergenceError(exc.what, r)
                     elif exc is None:
                         for what, ok in (("x", np.isfinite(X[pos]).all()),
                                          ("lambda", np.isfinite(Lam[pos]).all()),
                                          ("objective", math.isfinite(fys[pos]))):
                             if not ok:
-                                exc = DivergenceError(f"non-finite {what} at iteration {r}", r)
+                                exc = DivergenceError(f"non-finite {what}", r)
                                 break
                     if exc is not None:
                         outcomes[lane.i] = exc

@@ -178,6 +178,14 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_overflowing_start_exits_three(self, tmp_path, capsys):
+        inst = tmp_path / "d16-s3.json"
+        assert main(["generate", "--d", "16", "--seed", "3", "--out", str(inst)]) == 0
+        code = main(["solve", "--instance", str(inst), "--algorithm", "admm-q",
+                     "--rho", "1000", "--init-scale", "1e308"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: run diverged: non-finite start at iteration 0\n"
+
     def test_trace_written(self, demo_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
         solve_json(

@@ -4,8 +4,10 @@
 histograms of a tiny sweep: two d=4 instances, all six algorithms, two
 inits, short budgets, run at 1 and at 2 workers. ``tests/golden/solve/``
 holds the ``admmq solve --format json --trace`` output of every method on
-one d=4 instance. A change that keeps every number passes; a change of
-any bit fails.
+one d=4 instance. ``tests/golden/verify/`` holds a d=6 instance from
+``admmq generate --b-scale 5``, ``check-stationary`` as JSON and as CSV at
+one stationary and one non-stationary point, and a boxed ``bruteforce``
+on it. A change that keeps every number passes; a change of any bit fails.
 
 A deliberate change of a format or a number regenerates the files with
 
@@ -46,6 +48,10 @@ SOLVE = {
     "pgd": ["--rho", "300", "--trace-stride", "3"],
     "gd-proj": [],
 }
+# (name, point, rho): at rho 1e4 the gradient step stays within half a spacing
+# of the origin; at rho 0.5 it leaves it
+CHECKS = [("stationary", "[0, 0, 0, 0, 0, 0]", "1e4"),
+          ("nonstationary", "[8, 0, -8, 0, 16, 0]", "0.5")]
 
 
 def sweep_outputs(tmp: Path, workers: int) -> dict:
@@ -72,6 +78,24 @@ def solve_outputs(tmp: Path) -> dict:
     return files
 
 
+def verify_outputs(tmp: Path) -> dict:
+    instance = tmp / "instance.json"
+    assert main(["generate", "--d", "6", "--seed", "2", "--b-scale", "5",
+                 "--out", str(instance)]) == 0
+    files = {instance.name: instance.read_bytes()}
+    for name, point, rho in CHECKS:
+        for fmt in ("json", "csv"):
+            out = tmp / f"{name}.{fmt}"
+            assert main(["check-stationary", "--instance", str(instance), "--point", point,
+                         "--rho", rho, "--format", fmt, "--out", str(out)]) == 0
+            files[out.name] = out.read_bytes()
+    out = tmp / "bruteforce.json"
+    assert main(["bruteforce", "--instance", str(instance), "--bounds", "-16", "16",
+                 "--out", str(out)]) == 0
+    files[out.name] = out.read_bytes()
+    return files
+
+
 def assert_golden(files: dict, kind: str):
     want = {p.name: p.read_bytes() for p in sorted((GOLDEN / kind).iterdir())}
     assert sorted(files) == sorted(want)
@@ -88,10 +112,15 @@ def test_solve_bytes(tmp_path):
     assert_golden(solve_outputs(tmp_path), "solve")
 
 
+def test_verify_bytes(tmp_path):
+    assert_golden(verify_outputs(tmp_path), "verify")
+
+
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for kind, files in (("sweep", sweep_outputs(Path(tmp), 1)),
-                            ("solve", solve_outputs(Path(tmp)))):
+                            ("solve", solve_outputs(Path(tmp))),
+                            ("verify", verify_outputs(Path(tmp)))):
             (GOLDEN / kind).mkdir(parents=True, exist_ok=True)
             for old in (GOLDEN / kind).iterdir():
                 old.unlink()

@@ -543,7 +543,7 @@ def assert_run_matches_record(method, f, dset, config, record):
             assert info.value.iteration == error[1]
         return None
     res = run(method, f, dset, config)
-    trace = RunTrace(stride)
+    trace = RunTrace()
     trace.record(0, *row0)
     window = deque([f_y0], maxlen=config.window)
     for r, (_, row, fy, _, _) in enumerate(steps[:budget], start=1):
@@ -732,6 +732,8 @@ class TestRunLanes:
             dict(rho=2.0, seed=4, window=1, trace_stride=1),
             dict(rho=1.2, seed=7),
             dict(inner=InnerSolverConfig(max_inner_iters=1)),
+            dict(init_scale=1e308),  # a start near the double limit
+            dict(init_scale=1e308, seed=1),  # the start overflows
         ]
         configs = [dataclasses.replace(base, **v) for v in variants]
         kinds = lane_kinds(method, INDEFINITE, uniform_lattice(3, 1.0), configs)
@@ -776,10 +778,10 @@ class TestDivergenceTexts:
         "method, f, config, text, iteration",
         [
             *[(m, HUGE_SLOPE, SolverConfig(rho=1.0),
-               "non-finite projection target at iteration 1", 2)
+               "non-finite projection target at iteration 2", 2)
               for m in ("admm-q", "admm-r", "admm-s")],
             ("pgd", UNIT_1D, SolverConfig(rho=1e-3, init_scale=1e307),
-             "non-finite projected-gradient target", 1),
+             "non-finite projected-gradient target at iteration 1", 1),
             ("admm-q", UNIT_1D, SolverConfig(rho=1e10, init_scale=1e300),
              "non-finite x at iteration 1", 1),
             ("admm-q", HUGE_SLOPE, SolverConfig(rho=0.6, init_scale=1.5e308, seed=1),
@@ -788,17 +790,27 @@ class TestDivergenceTexts:
              "non-finite objective at iteration 191", 191),
             ("pgd", STIFF_2D, SolverConfig(rho=0.01), "non-finite objective at iteration 39", 39),
             ("iadmm-q", STIFF_2D, SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
-             "non-finite iterate in inner gradient descent", 1),
+             "non-finite iterate in inner gradient descent at iteration 1", 1),
+            ("admm-q", UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
+             "non-finite start at iteration 0", 0),
         ],
         ids=["target-admm-q", "target-admm-r", "target-admm-s", "target-pgd", "x", "lambda",
-             "objective", "objective-pgd", "inner-gd"],
+             "objective", "objective-pgd", "inner-gd", "start"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # starts near the double limit
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run handles its own overflow
     def test_message_and_iteration(self, method, f, config, text, iteration):
         config = dataclasses.replace(config, max_iters=300, mask_prob=0.5, beta=0.5)
         with pytest.raises(DivergenceError) as info:
             run(method, f, uniform_lattice(f.dim, 1.0), config)
         assert (str(info.value), info.value.iteration) == (text, iteration)
+
+    def test_step_names_the_iteration_it_makes(self):
+        # lambda/rho overflows, so the target of the step from r = 5 is not finite
+        state = dataclasses.replace(state_1d(0.0, 0.0, -1e308), r=5)
+        with pytest.raises(DivergenceError) as info:
+            admm_q_step(UNIT_1D, INTS, state, rho=1e-3)
+        assert (str(info.value), info.value.iteration) == (
+            "non-finite projection target at iteration 6", 6)
 
     def test_zero_radius_soft_step(self):
         # beta/rho underflows to 0: off the set y stays at z, on the set it takes the member

@@ -346,10 +346,12 @@ def _one_lane(
             dset, state.x[None], state.y[None], state.lam[None], rho,
             [(0, 1, x_update)], masks, radius,
         )
-    exc = DivergenceError("non-finite projection target") if bad else errors.get(0)
+    if bad:
+        raise DivergenceError("non-finite projection target", state.r + 1)
+    exc = errors.get(0)
     if isinstance(exc, DivergenceError):
         raise DivergenceError(exc.what, state.r + 1)
-    if exc is not None:
+    if exc:
         raise exc
     n_inner = 0 if inner is None else int(inner[0])
     return IterateState(X[0], Y[0], Lam[0], state.r + 1, n_inner)
@@ -569,15 +571,10 @@ def run(
     return result
 
 
-def _gd_proj(f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig):
-    """gd-proj's run, or the :class:`DivergenceError` of a start that is not finite.
-
-    The run is :func:`gd_then_project` from the seeded start, or the start at 0 iterations.
-    """
-    try:
-        state = initial_state(dset, config)
-    except DivergenceError as exc:
-        return exc
+def _gd_proj(
+    f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig, state: IterateState
+) -> RunResult:
+    """gd-proj's run: :func:`gd_then_project` from ``state``, or ``state`` at 0 iterations."""
     f_y0, ok = f.value(state.y), False
     if config.max_iters:
         x, ok = gd_then_project(f, dset, state.x)
@@ -686,8 +683,16 @@ def run_lanes(
 
     # overflow on the way to +-inf is the divergence signal, not a bug
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        rngs, begun = [RunRng(c.seed) for c in configs], {}
+        for i, c in enumerate(configs):
+            try:
+                begun[i] = initial_state(dset, c, rngs[i])
+            except DivergenceError as exc:
+                outcomes[i] = exc
         if method == "gd-proj":
-            return [_gd_proj(f, dset, c) for c in configs]
+            for i, s in begun.items():
+                outcomes[i] = _gd_proj(f, dset, configs[i], s)
+            return outcomes
         # lanes are ordered by x-solver, so that each solver's lanes form a block
         groups: dict = {}
         for i, c in enumerate(configs):
@@ -703,13 +708,10 @@ def run_lanes(
                     outcomes[i] = exc
                 continue
             for i in members:
-                rng = RunRng(configs[i].seed)
-                try:
-                    s = initial_state(dset, configs[i], rng)
-                except DivergenceError as exc:
-                    outcomes[i] = exc
+                if i not in begun:
                     continue
-                lane = _Lane(i, configs[i], rng, updater, f.value(s.y), _key(s.x, s.y, s.lam))
+                s = begun[i]
+                lane = _Lane(i, configs[i], rngs[i], updater, f.value(s.y), _key(s.x, s.y, s.lam))
                 lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
                 if configs[i].max_iters:
                     lanes.append(lane)

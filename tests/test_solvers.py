@@ -729,11 +729,11 @@ class TestRunLanes:
             dict(),  # above L_f: frozen
             dict(beta=1e4, seed=6),  # admm-s on the projection
             dict(max_iters=5),
+            dict(init_scale=1e308),  # a start near the double limit
+            dict(init_scale=1e308, seed=1),  # the start overflows
             dict(rho=2.0, seed=4, window=1, trace_stride=1),
             dict(rho=1.2, seed=7),
             dict(inner=InnerSolverConfig(max_inner_iters=1)),
-            dict(init_scale=1e308),  # a start near the double limit
-            dict(init_scale=1e308, seed=1),  # the start overflows
         ]
         configs = [dataclasses.replace(base, **v) for v in variants]
         kinds = lane_kinds(method, INDEFINITE, uniform_lattice(3, 1.0), configs)
@@ -791,11 +791,11 @@ class TestDivergenceTexts:
             ("pgd", STIFF_2D, SolverConfig(rho=0.01), "non-finite objective at iteration 39", 39),
             ("iadmm-q", STIFF_2D, SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
              "non-finite iterate in inner gradient descent at iteration 1", 1),
-            ("admm-q", UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
-             "non-finite start at iteration 0", 0),
+            *[(m, UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
+               "non-finite start at iteration 0", 0) for m in ("admm-q", "gd-proj")],
         ],
         ids=["target-admm-q", "target-admm-r", "target-admm-s", "target-pgd", "x", "lambda",
-             "objective", "objective-pgd", "inner-gd", "start"],
+             "objective", "objective-pgd", "inner-gd", "start", "start-gd-proj"],
     )
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run handles its own overflow
     def test_message_and_iteration(self, method, f, config, text, iteration):

@@ -71,8 +71,10 @@ def is_rho_stationary(
     coordinate is tested against the minimal distance achievable for its own
     scalar set, with absolute tolerance ``tol``.
     """
-    if not (rho > 0):
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (0 < rho < math.inf):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not (0 <= tol < math.inf):
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
     x = np.asarray(x, dtype=float)
     snapped = dset.project(x)
     if float(np.max(np.abs(x - snapped), initial=0.0)) > membership_tol:
@@ -115,8 +117,8 @@ def enumerate_stationary_points(
     limit: int = 10_000_000,
 ) -> np.ndarray:
     """All members that are rho-stationary, as an (n, dim) array."""
-    if not (rho > 0):
-        raise ValueError(f"rho must be positive, got {rho}")
+    if not (0 < rho < math.inf):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
     members = dset.enumerate_members(limit)
     keep = []
     for start in range(0, members.shape[0], _EVAL_CHUNK):

@@ -230,10 +230,10 @@ def cmd_sweep(args) -> int:
     merged.to_csv(out_dir / "runs.csv")
     merged.to_summary_json(out_dir / "summary.json")
 
+    best = {alg: merged.best_objectives(alg) for alg in algorithms}
     for i, alg_a in enumerate(algorithms):
         for alg_b in algorithms[i + 1 :]:
-            objs_a = merged.best_objectives(alg_a)
-            objs_b = merged.best_objectives(alg_b)
+            objs_a, objs_b = best[alg_a], best[alg_b]
             shared = sorted(set(objs_a) & set(objs_b))
             if not shared:
                 continue

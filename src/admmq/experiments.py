@@ -85,6 +85,12 @@ class GeneratedInstance:
     dset: DiscreteProductSet
     spec: InstanceSpec
 
+    def __post_init__(self):
+        if self.dset.dim != self.objective.dim:
+            raise ValueError(
+                f"the set has dimension {self.dset.dim} but Q has {self.objective.dim}"
+            )
+
     def to_dict(self) -> dict:
         d = {"id": self.instance_id}
         d.update(self.objective.to_dict())

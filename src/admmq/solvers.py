@@ -15,9 +15,10 @@ Six methods share one driver:
   quadratics) followed by a single projection.
 
 The four ADMM methods share one iteration and differ only in how y is
-taken from the projection and in the accuracy of the x-solve. The iteration
-is written once, for a batch of independent runs (lanes) held as rows of
-``(n, d)`` arrays. ``run_lanes`` drives a batch and ``run`` a single run;
+taken from the projection and in the accuracy of the x-solve. That iteration
+and pgd's step are written once, as one step of a batch of independent runs
+(lanes) held as rows of ``(n, d)`` arrays, which alone decides how a lane
+failed. ``run_lanes`` drives a batch and ``run`` a single run;
 both record a :class:`RunTrace` and the best objective over a trailing
 window, and stop a run early once its iterate cycles exactly. Each method is
 also available as a single-step transition function.
@@ -279,22 +280,26 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, solves, masks=None, radius=None):
-    """One iteration of the ADMM family for every lane; rows of the arrays are lanes.
+def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None):
+    """One iteration of ``method`` for every lane; rows of the arrays are lanes.
 
-    Projects each target ``z = x + lambda/rho`` and takes y from the
-    projection: as it is (admm-q, iadmm-q), where ``masks`` is True with the
-    old y kept elsewhere (admm-r), or moved from z toward it by at most
-    ``radius`` (admm-s). Then minimizes the Lagrangian in x and ascends
-    lambda. ``rho`` and ``radius`` are numbers or columns with one entry per
-    lane, and ``solves`` lists ``(start, stop, x_update)`` for each block of
-    lanes that shares an x-solver. Returns the new X, Y and Lam, the inner
-    steps per lane (None when every solve is direct), ``Z_proj``, the lanes
-    whose target is not finite, and ``{lane: error}`` for the other lanes
-    whose x-solve could not be carried out.
+    pgd takes the projected gradient step. The ADMM family projects each
+    target ``z = x + lambda/rho`` and takes y from the projection: as it is
+    (admm-q, iadmm-q), where ``masks`` is True with the old y kept elsewhere
+    (admm-r), or moved from z toward it by at most ``radius`` (admm-s). Then
+    it minimizes the Lagrangian in x and ascends lambda. ``rho`` and
+    ``radius`` are numbers or columns with one entry per lane, and ``solves``
+    lists ``(start, stop, x_update)`` for each block of lanes that shares an
+    x-solver.
+
+    Returns the new X, Y and Lam, the inner steps per lane (None when every
+    solve is direct), the projection, f of each row of Y, and ``{lane:
+    error}`` naming each failed lane once: a non-finite target, else the
+    x-solver's error, else a non-finite x, lambda or objective. A
+    :class:`DivergenceError` here names no iteration; the caller knows it.
     """
-    Z = X + Lam / rho
-    bad = _non_finite_rows(Z)
+    Z = X - f.gradient_rows(X) / rho if method == "pgd" else X + Lam / rho
+    bad = [] if math.isfinite(Z.sum()) else np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist()
     Z_proj = dset.project_many(Z)
     if masks is not None:
         Y_new = np.where(masks, Z_proj, Y)
@@ -305,54 +310,55 @@ def _admm_lanes(dset: DiscreteProductSet, X, Y, Lam, rho, solves, masks=None, ra
         Y_new = np.where((radius > dist) | (dist == 0.0), Z_proj, Z + radius * (D / dist))
     else:
         Y_new = Z_proj
-    parts, inner, errors = [], None, {}
-    for start, stop, x_update in solves:
-        if isinstance(x_update, _ClosedFormX):
-            parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
-            continue
-        block = np.empty((stop - start, X.shape[1]))
-        inner = np.zeros(len(X), dtype=int) if inner is None else inner
-        for i in range(start, stop):
-            if i not in bad:
-                try:
-                    block[i - start], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
-                except SolverError as exc:
-                    errors[i] = exc
-        parts.append(block)
-    X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
-    Lam_new = Lam + rho * (X_new - Y_new)
-    return X_new, Y_new, Lam_new, inner, Z_proj, bad, errors
-
-
-def _non_finite_rows(A) -> list:
-    """Indices of the rows of ``A`` that hold a non-finite entry."""
-    if math.isfinite(A.sum()):
-        return []
-    return np.flatnonzero(~np.isfinite(A).all(axis=1)).tolist()
-
-
-def _pgd_lanes(f: SmoothObjective, dset: DiscreteProductSet, X, rho):
-    """Projected gradient step of every lane, and the lanes whose target is not finite."""
-    T = X - f.gradient_rows(X) / rho
-    return dset.project_many(T), _non_finite_rows(T)
+    X_new, inner, failed = Y_new, None, {}
+    if method != "pgd":
+        parts = []
+        for start, stop, x_update in solves:
+            if isinstance(x_update, _ClosedFormX):
+                parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
+                continue
+            block = np.empty((stop - start, X.shape[1]))
+            inner = np.zeros(len(X), dtype=int) if inner is None else inner
+            for i in range(start, stop):
+                if i not in bad:
+                    try:
+                        block[i - start], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
+                    except SolverError as exc:
+                        failed[i] = exc
+            parts.append(block)
+        X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        Lam = Lam + rho * (X_new - Y_new)
+    fys = f.value_rows(Y_new)
+    errors = {}
+    # a non-finite x shows in lambda + rho (x - y); pgd's x projects a finite target
+    if bad or failed or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
+        target = "projected-gradient" if method == "pgd" else "projection"
+        for i, fy in enumerate(fys):
+            exc = DivergenceError(f"non-finite {target} target") if i in bad else failed.get(i)
+            if exc is None:
+                for what, ok in (("x", np.isfinite(X_new[i]).all()),
+                                 ("lambda", np.isfinite(Lam[i]).all()),
+                                 ("objective", math.isfinite(fy))):
+                    if not ok:
+                        exc = DivergenceError(f"non-finite {what}")
+                        break
+            if exc is not None:
+                errors[i] = exc
+    return X_new, Y_new, Lam, inner, Z_proj, fys, errors
 
 
 def _one_lane(
-    dset, state: IterateState, rho: float, x_update, masks=None, radius=None
+    method, f, dset, state: IterateState, rho: float, x_update, masks=None, radius=None
 ) -> IterateState:
-    """The lane step at n = 1."""
+    """The lane step at n = 1; a failure raises what a run raises at iteration ``state.r + 1``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        X, Y, Lam, inner, _, bad, errors = _admm_lanes(
-            dset, state.x[None], state.y[None], state.lam[None], rho,
+        X, Y, Lam, inner, _, _, errors = _step_lanes(
+            method, f, dset, state.x[None], state.y[None], state.lam[None], rho,
             [(0, 1, x_update)], masks, radius,
         )
-    if bad:
-        raise DivergenceError("non-finite projection target", state.r + 1)
-    exc = errors.get(0)
-    if isinstance(exc, DivergenceError):
-        raise DivergenceError(exc.what, state.r + 1)
-    if exc:
-        raise exc
+    if errors:
+        exc = errors[0]
+        raise DivergenceError(exc.what, state.r + 1) if isinstance(exc, DivergenceError) else exc
     n_inner = 0 if inner is None else int(inner[0])
     return IterateState(X[0], Y[0], Lam[0], state.r + 1, n_inner)
 
@@ -370,7 +376,7 @@ def admm_q_step(
     ``(Q + rho I) x = rho y - lambda - b``.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane(dset, state, rho, x_update)
+    return _one_lane("admm-q", f, dset, state, rho, x_update)
 
 
 def iadmm_q_step(
@@ -387,7 +393,7 @@ def iadmm_q_step(
     floor and the trajectory matches the exact method to inner tolerance.
     """
     x_update = x_update or build_x_update(f, rho, gamma=gamma)
-    return _one_lane(dset, state, rho, x_update)
+    return _one_lane("iadmm-q", f, dset, state, rho, x_update)
 
 
 def admm_r_step(
@@ -407,7 +413,7 @@ def admm_r_step(
     """
     x_update = x_update or build_x_update(f, rho)
     mask = rng.bernoulli(mask_prob, dset.dim)
-    return _one_lane(dset, state, rho, x_update, masks=mask)
+    return _one_lane("admm-r", f, dset, state, rho, x_update, masks=mask)
 
 
 def admm_s_step(
@@ -424,18 +430,18 @@ def admm_s_step(
     projection itself and the step coincides with the exact method.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane(dset, state, rho, x_update, radius=beta / rho)
+    return _one_lane("admm-s", f, dset, state, rho, x_update, radius=beta / rho)
 
 
 def pgd_step(
     f: SmoothObjective, dset: DiscreteProductSet, x: np.ndarray, rho: float
 ) -> np.ndarray:
     """Projected gradient step with step size ``1/rho``."""
-    x = np.asarray(x, dtype=float)
-    with np.errstate(over="ignore", invalid="ignore"):
-        x_new, bad = _pgd_lanes(f, dset, x[None], rho)
-    if bad:
-        raise DivergenceError("non-finite projected-gradient target")
+    x = np.asarray(x, dtype=float)[None]
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        x_new, *_, errors = _step_lanes("pgd", f, dset, x, x, np.zeros_like(x), rho)
+    if errors:
+        raise errors[0]
     return x_new[0]
 
 
@@ -727,41 +733,19 @@ def run_lanes(
 
         while lanes:
             t += 1
-            Xp, Yp = X, Y
-            if method == "pgd":
-                X, bad = _pgd_lanes(f, dset, X, rho)
-                Y, inner, y_hat, errors = X, None, None, {}
-            else:
-                masks = None
-                if method == "admm-r":
-                    masks = np.array(
-                        [lane.rng.bernoulli(lane.config.mask_prob, d) for lane in lanes]
-                    )
-                X, Y, Lam, inner, y_hat, bad, errors = _admm_lanes(
-                    dset, X, Y, Lam, rho, solves, masks, radius if method == "admm-s" else None
+            Xp, Yp, masks = X, Y, None
+            if method == "admm-r":
+                masks = np.array([lane.rng.bernoulli(lane.config.mask_prob, d) for lane in lanes])
+            X, Y, Lam, inner, y_hat, fys, errors = _step_lanes(
+                method, f, dset, X, Y, Lam, rho, solves, masks,
+                radius if method == "admm-s" else None,
+            )
+            ended = set(errors)  # lanes that fail or spend their budget at this t
+            for pos, exc in errors.items():
+                r = t + lanes[pos].off
+                outcomes[lanes[pos].i] = (
+                    DivergenceError(exc.what, r) if isinstance(exc, DivergenceError) else exc
                 )
-            fys = f.value_rows(Y)
-            ended = set()  # lanes that fail or spend their budget at this t
-            # lambda + rho (x - y) is finite only if x is
-            if bad or errors or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
-                for pos, lane in enumerate(lanes):
-                    r = t + lane.off
-                    exc = errors.get(pos)
-                    if pos in bad:
-                        what = "projected-gradient" if method == "pgd" else "projection"
-                        exc = DivergenceError(f"non-finite {what} target", r)
-                    elif isinstance(exc, DivergenceError):
-                        exc = DivergenceError(exc.what, r)
-                    elif exc is None:
-                        for what, ok in (("x", np.isfinite(X[pos]).all()),
-                                         ("lambda", np.isfinite(Lam[pos]).all()),
-                                         ("objective", math.isfinite(fys[pos]))):
-                            if not ok:
-                                exc = DivergenceError(f"non-finite {what}", r)
-                                break
-                    if exc is not None:
-                        outcomes[lane.i] = exc
-                        ended.add(pos)
 
             # bits of the rows, for the comparisons below
             xb, yb, ypb, yhb = X.tobytes(), None, None, None

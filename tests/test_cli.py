@@ -244,20 +244,46 @@ class TestSolve:
         ["verify-conditions", "--Lf", "-1", "--rho", "2"],
         ["verify-conditions", "--Lf", "1", "--mu", "-3", "--rho", "2"],
         ["verify-conditions", "--Lf", "1", "--rho", "2", "--gamma", "-0.1"],
+        ["check-stationary", "--point", "[0]", "--rho", "inf"],
+        ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "nan"],
+        ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "inf"],
+        ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "-1"],
     ],
     ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
          "beta-zero", "rho-inf", "gamma-nan", "seed-negative", "init-scale-inf",
          "init-scale-nan", "init-scale-negative", "verify-rho-zero", "verify-Lf-nan",
          "verify-mu-inf", "verify-gamma-nan", "verify-Lf-negative", "verify-mu-negative",
-         "verify-gamma-negative"],
+         "verify-gamma-negative", "stationary-rho-inf", "stationary-tol-nan",
+         "stationary-tol-inf", "stationary-tol-negative"],
 )
 def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
-    if argv[0] == "solve":
+    if argv[0] in ("solve", "check-stationary"):
         argv = [*argv, "--instance", demo_path]
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "error:" in err and out == ""
 
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "bruteforce", "check-stationary"])
+def test_set_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
+    inst_dir = tmp_path / "instances"
+    inst_dir.mkdir()
+    path = inst_dir / "cut.json"
+    assert main(["generate", "--d", "3", "--seed", "1", "--out", str(path)]) == 0
+    inst = json.loads(path.read_text())
+    inst["set"]["coords"] = inst["set"]["coords"][:2]
+    path.write_text(json.dumps(inst))
+    out = tmp_path / "out"
+    argv = {
+        "solve": ["--instance", str(path), "--algorithm", "admm-q", "--rho", "2"],
+        "sweep": ["--instances", str(inst_dir), "--out", str(out)],
+        "bruteforce": ["--instance", str(path), "--bounds", "-8", "8"],
+        "check-stationary": ["--instance", str(path), "--point", "[0, 0, 0]", "--rho", "1"],
+    }[command]
+    assert main([command, *argv]) == 2
+    assert "the set has dimension 2 but Q has 3" in capsys.readouterr().err
+    assert not out.exists()
 
 class TestCheckStationary:
     def test_nonexistence_at_half(self, c1_path, capsys):

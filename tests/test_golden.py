@@ -7,7 +7,10 @@ holds the ``admmq solve --format json --trace`` output of every method on
 one d=4 instance. ``tests/golden/verify/`` holds a d=6 instance from
 ``admmq generate --b-scale 5``, ``check-stationary`` as JSON and as CSV at
 one stationary and one non-stationary point, and a boxed ``bruteforce``
-on it. A change that keeps every number passes; a change of any bit fails.
+on it. ``tests/golden/fail/`` holds the exit code and stderr of three
+solves on the d=4 instance that fail: pgd and admm-q diverge (exit 3), and
+iadmm-q misses its x-update certificate (exit 4). A change that keeps every
+number passes; a change of any bit fails.
 
 A deliberate change of a format or a number regenerates the files with
 
@@ -16,6 +19,8 @@ A deliberate change of a format or a number regenerates the files with
 and records the change in CHANGES.md.
 """
 
+import contextlib
+import io
 import json
 import sys
 import tempfile
@@ -48,6 +53,11 @@ SOLVE = {
     "pgd": ["--rho", "300", "--trace-stride", "3"],
     "gd-proj": [],
 }
+FAIL = {
+    "pgd": ["--rho", "0.01"],
+    "admm-q": ["--rho", "1e10", "--init-scale", "1e300"],
+    "iadmm-q": ["--rho", "0.05", "--gamma", "0.5"],
+}
 # (name, point, rho): at rho 1e4 the gradient step stays within half a spacing
 # of the origin; at rho 0.5 it leaves it
 CHECKS = [("stationary", "[0, 0, 0, 0, 0, 0]", "1e4"),
@@ -75,6 +85,19 @@ def solve_outputs(tmp: Path) -> dict:
                 "--trace", str(trace), "--out", str(out)]
         assert main(argv) == 0
         files[out.name], files[trace.name] = out.read_bytes(), trace.read_bytes()
+    return files
+
+
+def fail_outputs(tmp: Path) -> dict:
+    instance = tmp / "instance.json"
+    assert main(["generate", "--d", "4", "--seed", "3", "--out", str(instance)]) == 0
+    files = {}
+    for method, flags in FAIL.items():
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["solve", "--instance", str(instance), "--algorithm", method, *flags,
+                         "--iters", "40", "--seed", "5", "--force"])
+        files[f"{method}.txt"] = f"exit {code}\n{err.getvalue()}".encode()
     return files
 
 
@@ -112,6 +135,10 @@ def test_solve_bytes(tmp_path):
     assert_golden(solve_outputs(tmp_path), "solve")
 
 
+def test_fail_bytes(tmp_path):
+    assert_golden(fail_outputs(tmp_path), "fail")
+
+
 def test_verify_bytes(tmp_path):
     assert_golden(verify_outputs(tmp_path), "verify")
 
@@ -120,6 +147,7 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for kind, files in (("sweep", sweep_outputs(Path(tmp), 1)),
                             ("solve", solve_outputs(Path(tmp))),
+                            ("fail", fail_outputs(Path(tmp))),
                             ("verify", verify_outputs(Path(tmp)))):
             (GOLDEN / kind).mkdir(parents=True, exist_ok=True)
             for old in (GOLDEN / kind).iterdir():

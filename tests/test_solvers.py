@@ -774,34 +774,57 @@ STIFF_2D = QuadraticObjective(Q=np.diag([100.0, 1.0]), b=[1.0, 1.0])
 class TestDivergenceTexts:
     """Each way a run can diverge, with its exact message and iteration."""
 
-    @pytest.mark.parametrize(
-        "method, f, config, text, iteration",
-        [
-            *[(m, HUGE_SLOPE, SolverConfig(rho=1.0),
-               "non-finite projection target at iteration 2", 2)
-              for m in ("admm-q", "admm-r", "admm-s")],
-            ("pgd", UNIT_1D, SolverConfig(rho=1e-3, init_scale=1e307),
-             "non-finite projected-gradient target at iteration 1", 1),
-            ("admm-q", UNIT_1D, SolverConfig(rho=1e10, init_scale=1e300),
-             "non-finite x at iteration 1", 1),
-            ("admm-q", HUGE_SLOPE, SolverConfig(rho=0.6, init_scale=1.5e308, seed=1),
-             "non-finite lambda at iteration 1", 1),
-            ("admm-q", INDEFINITE, SolverConfig(rho=0.9, init_scale=3.0, seed=3),
-             "non-finite objective at iteration 191", 191),
-            ("pgd", STIFF_2D, SolverConfig(rho=0.01), "non-finite objective at iteration 39", 39),
-            ("iadmm-q", STIFF_2D, SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
-             "non-finite iterate in inner gradient descent at iteration 1", 1),
-            *[(m, UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
-               "non-finite start at iteration 0", 0) for m in ("admm-q", "gd-proj")],
-        ],
-        ids=["target-admm-q", "target-admm-r", "target-admm-s", "target-pgd", "x", "lambda",
-             "objective", "objective-pgd", "inner-gd", "start", "start-gd-proj"],
-    )
+    CASES = {
+        **{f"target-{m}": (m, HUGE_SLOPE, SolverConfig(rho=1.0),
+                           "non-finite projection target at iteration 2", 2)
+           for m in ("admm-q", "admm-r", "admm-s")},
+        "target-pgd": ("pgd", UNIT_1D, SolverConfig(rho=1e-3, init_scale=1e307),
+                       "non-finite projected-gradient target at iteration 1", 1),
+        "x": ("admm-q", UNIT_1D, SolverConfig(rho=1e10, init_scale=1e300),
+              "non-finite x at iteration 1", 1),
+        "lambda": ("admm-q", HUGE_SLOPE, SolverConfig(rho=0.6, init_scale=1.5e308, seed=1),
+                   "non-finite lambda at iteration 1", 1),
+        "objective": ("admm-q", INDEFINITE, SolverConfig(rho=0.9, init_scale=3.0, seed=3),
+                      "non-finite objective at iteration 191", 191),
+        "objective-pgd": ("pgd", STIFF_2D, SolverConfig(rho=0.01),
+                          "non-finite objective at iteration 39", 39),
+        "inner-gd": ("iadmm-q", STIFF_2D,
+                     SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
+                     "non-finite iterate in inner gradient descent at iteration 1", 1),
+        **{name: (m, UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
+                  "non-finite start at iteration 0", 0)
+           for name, m in (("start", "admm-q"), ("start-gd-proj", "gd-proj"))},
+    }
+    STEPPED = {k: case for k, case in CASES.items() if not k.startswith("start")}
+
+    @pytest.mark.parametrize("method, f, config, text, iteration", CASES.values(), ids=CASES)
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run handles its own overflow
     def test_message_and_iteration(self, method, f, config, text, iteration):
         config = dataclasses.replace(config, max_iters=300, mask_prob=0.5, beta=0.5)
         with pytest.raises(DivergenceError) as info:
             run(method, f, uniform_lattice(f.dim, 1.0), config)
+        assert (str(info.value), info.value.iteration) == (text, iteration)
+
+    @pytest.mark.parametrize("method, f, config, text, iteration", STEPPED.values(), ids=STEPPED)
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_steps_raise_what_runs_raise(self, method, f, config, text, iteration):
+        # the public step functions from the run's own start fail where the run does
+        config = dataclasses.replace(config, max_iters=300, mask_prob=0.5, beta=0.5)
+        dset, rng, rho = uniform_lattice(f.dim, 1.0), RunRng(config.seed), config.rho
+        state = initial_state(dset, config, rng)
+        step = {
+            "admm-q": lambda s: admm_q_step(f, dset, s, rho),
+            "iadmm-q": lambda s: iadmm_q_step(f, dset, s, rho, config.gamma),
+            "admm-r": lambda s: admm_r_step(f, dset, s, rho, config.mask_prob, rng),
+            "admm-s": lambda s: admm_s_step(f, dset, s, rho, config.beta),
+            "pgd": lambda s: dataclasses.replace(s, x=pgd_step(f, dset, s.x, rho), r=s.r + 1),
+        }[method]
+        with pytest.raises(DivergenceError) as info:
+            for _ in range(iteration):
+                state = step(state)
+        assert state.r == iteration - 1  # the step that raised makes iteration r + 1
+        if method == "pgd":  # pgd_step knows no iteration
+            text, iteration = text.rsplit(" at iteration", 1)[0], -1
         assert (str(info.value), info.value.iteration) == (text, iteration)
 
     def test_step_names_the_iteration_it_makes(self):

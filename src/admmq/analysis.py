@@ -10,7 +10,6 @@ exact ties are legitimate (the target can sit exactly between two members).
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 from dataclasses import dataclass
 
@@ -24,7 +23,6 @@ __all__ = [
     "is_rho_stationary",
     "brute_force_minimize",
     "enumerate_stationary_points",
-    "write_points_csv",
     "decrease_condition_value",
     "check_decrease_condition",
     "iadmm_condition_value",
@@ -51,8 +49,12 @@ class StationarityReport:
     def to_dict(self) -> dict:
         return {**dataclasses.asdict(self), "candidate": self.candidate.tolist()}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
+
+def _check_rho_tol(rho: float, tol: float):
+    if not (0 < rho < math.inf):
+        raise ValueError(f"rho must be positive and finite, got {rho}")
+    if not (0 <= tol < math.inf):
+        raise ValueError(f"tol must be non-negative and finite, got {tol}")
 
 
 def is_rho_stationary(
@@ -71,10 +73,7 @@ def is_rho_stationary(
     coordinate is tested against the minimal distance achievable for its own
     scalar set, with absolute tolerance ``tol``.
     """
-    if not (0 < rho < math.inf):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not (0 <= tol < math.inf):
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
+    _check_rho_tol(rho, tol)
     x = np.asarray(x, dtype=float)
     snapped = dset.project(x)
     if float(np.max(np.abs(x - snapped), initial=0.0)) > membership_tol:
@@ -117,8 +116,7 @@ def enumerate_stationary_points(
     limit: int = 10_000_000,
 ) -> np.ndarray:
     """All members that are rho-stationary, as an (n, dim) array."""
-    if not (0 < rho < math.inf):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
+    _check_rho_tol(rho, tol)
     members = dset.enumerate_members(limit)
     keep = []
     for start in range(0, members.shape[0], _EVAL_CHUNK):
@@ -128,15 +126,6 @@ def enumerate_stationary_points(
         gaps = np.abs(chunk - targets) - np.abs(nearest - targets)
         keep.append(chunk[np.max(gaps, axis=1) <= tol])
     return np.vstack(keep) if keep else np.empty((0, dset.dim))
-
-
-def write_points_csv(points: np.ndarray, path):
-    """Stream an (n, dim) point enumeration to CSV (x0,...,x{dim-1})."""
-    points = np.asarray(points, dtype=float)
-    with open(path, "w") as fh:
-        fh.write(",".join(f"x{i}" for i in range(points.shape[1])) + "\n")
-        for row in points:
-            fh.write(",".join(repr(v) for v in row) + "\n")
 
 
 def decrease_condition_value(L_f: float, mu: float, rho: float) -> float:

@@ -73,8 +73,13 @@ def _fail(message: str, code: int) -> int:
 
 
 def _load_instance(path: str) -> GeneratedInstance:
+    """The instance in the JSON file at ``path``; a malformed one raises ValueError."""
     with open(path) as fh:
-        return GeneratedInstance.from_dict(json.load(fh))
+        data = json.load(fh)
+    try:
+        return GeneratedInstance.from_dict(data)
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed instance: {type(exc).__name__}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
@@ -128,7 +133,7 @@ def cmd_solve(args) -> int:
         return _fail(str(exc), EXIT_USAGE)
     try:
         inst = _load_instance(args.instance)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"cannot load instance: {exc}", EXIT_USAGE)
     L_f, mu = inst.objective.lipschitz_L, inst.objective.weak_convexity_mu
     if not args.force and not _feasibility_gate(args.algorithm, config, L_f, mu):
@@ -184,7 +189,7 @@ def cmd_sweep(args) -> int:
         for p in paths:
             try:
                 instances.append(_load_instance(p))
-            except (OSError, ValueError, KeyError) as exc:
+            except (OSError, ValueError) as exc:
                 return _fail(f"cannot load {p}: {exc}", EXIT_USAGE)
     else:
         try:
@@ -252,7 +257,7 @@ def cmd_check_stationary(args) -> int:
     try:
         inst = _load_instance(args.instance)
         point = np.asarray(json.loads(args.point), dtype=float)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, TypeError, ValueError) as exc:
         return _fail(f"bad inputs: {exc}", EXIT_USAGE)
     try:
         report = is_rho_stationary(inst.objective, inst.dset, point, args.rho, tol=args.tol)
@@ -283,7 +288,7 @@ def cmd_bruteforce(args) -> int:
     try:
         inst = _load_instance(args.instance)
         dset = _bounded_set(inst.dset, args.bounds)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         return _fail(f"bad inputs: {exc}", EXIT_USAGE)
     try:
         argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)

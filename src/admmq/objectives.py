@@ -10,7 +10,6 @@ numbers, so built-in objectives compute them instead of trusting the caller.
 from __future__ import annotations
 
 import abc
-import json
 
 import numpy as np
 from scipy.special import expit
@@ -138,16 +137,9 @@ class QuadraticObjective(SmoothObjective):
             d["c"] = self.c
         return d
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, d: dict) -> "QuadraticObjective":
         return cls(Q=d["Q"], b=d["b"], c=d.get("c", 0.0))
-
-    @classmethod
-    def from_json(cls, s: str) -> "QuadraticObjective":
-        return cls.from_dict(json.loads(s))
 
 
 class LogisticObjective(SmoothObjective):

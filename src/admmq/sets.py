@@ -17,7 +17,6 @@ an exact midpoint project to the smaller of the two nearest members.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -297,16 +296,9 @@ class DiscreteProductSet:
     def to_dict(self) -> dict:
         return {"coords": [c.to_dict() for c in self.coords]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, d: dict) -> "DiscreteProductSet":
         return cls(coords=tuple(_coord_from_dict(c) for c in d["coords"]))
-
-    @classmethod
-    def from_json(cls, s: str) -> "DiscreteProductSet":
-        return cls.from_dict(json.loads(s))
 
 
 def binary_set(dim: int) -> DiscreteProductSet:

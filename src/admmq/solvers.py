@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import math
 import numbers
 from collections import deque
@@ -75,15 +74,7 @@ CONVERGED_STABLE_ITERS = 50
 
 
 class SolverError(RuntimeError):
-    """Raised when an update rule cannot be carried out."""
-
-
-class InnerSolverError(SolverError):
-    """Inner x-minimization failed to meet its acceptance certificate."""
-
-
-class DivergenceError(SolverError):
-    """A non-finite iterate appeared; the run is divergent.
+    """Raised when an update rule cannot be carried out.
 
     The text is ``what``, followed by `` at iteration r`` once the iteration is known.
     """
@@ -91,6 +82,18 @@ class DivergenceError(SolverError):
     def __init__(self, what: str, iteration: int = -1):
         super().__init__(what if iteration < 0 else f"{what} at iteration {iteration}")
         self.what, self.iteration = what, iteration
+
+    def at(self, iteration: int) -> "SolverError":
+        """The same failure, named at ``iteration``."""
+        return type(self)(self.what, iteration)
+
+
+class InnerSolverError(SolverError):
+    """Inner x-minimization failed to meet its acceptance certificate."""
+
+
+class DivergenceError(SolverError):
+    """A non-finite iterate appeared; the run is divergent."""
 
 
 @dataclass
@@ -160,17 +163,6 @@ class IterateState:
     lam: np.ndarray
     r: int = 0
     inner_iters: int = 0  # inner-GD steps spent on the last x-update
-
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x.tolist(),
-            "y": self.y.tolist(),
-            "lambda": self.lam.tolist(),
-            "r": self.r,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
 
 
 def augmented_lagrangian(f: SmoothObjective, x, y, lam, rho: float) -> float:
@@ -295,8 +287,8 @@ def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=N
     Returns the new X, Y and Lam, the inner steps per lane (None when every
     solve is direct), the projection, f of each row of Y, and ``{lane:
     error}`` naming each failed lane once: a non-finite target, else the
-    x-solver's error, else a non-finite x, lambda or objective. A
-    :class:`DivergenceError` here names no iteration; the caller knows it.
+    x-solver's error, else a non-finite x, lambda or objective. An error
+    here names no iteration; the caller knows it.
     """
     Z = X - f.gradient_rows(X) / rho if method == "pgd" else X + Lam / rho
     bad = [] if math.isfinite(Z.sum()) else np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist()
@@ -357,8 +349,7 @@ def _one_lane(
             [(0, 1, x_update)], masks, radius,
         )
     if errors:
-        exc = errors[0]
-        raise DivergenceError(exc.what, state.r + 1) if isinstance(exc, DivergenceError) else exc
+        raise errors[0].at(state.r + 1)
     n_inner = 0 if inner is None else int(inner[0])
     return IterateState(X[0], Y[0], Lam[0], state.r + 1, n_inner)
 
@@ -563,8 +554,8 @@ def run(
 
     Records the trace, the best objective over the trailing ``window``
     iterations (f(y) for the ADMM family, f(x) for pgd / gd-proj), and
-    convergence diagnostics. Non-finite iterates raise
-    :class:`DivergenceError` with the failing iteration attached.
+    convergence diagnostics. A failed iteration raises its
+    :class:`SolverError` with the failing iteration attached.
 
     Once (x, y, lambda) repeats bit for bit, the rest of the run is periodic
     and whole cycles of it are skipped; the result, trace included, is
@@ -603,21 +594,21 @@ class _Lane:
     """
 
     __slots__ = ("i", "config", "rng", "updater", "trace", "window", "f_y0", "off", "moved",
-                 "saved", "since", "power", "period", "skip", "skipped", "rows")
+                 "saved", "since", "power", "period", "skip", "rows")
 
     def __init__(self, i: int, config: SolverConfig, rng: RunRng, updater, f_y0: float, key: bytes):
         self.i, self.config, self.rng, self.updater, self.f_y0 = i, config, rng, updater, f_y0
         self.trace = RunTrace()
         self.window = deque([f_y0], maxlen=config.window)  # f(y) of the trailing iterations
-        self.off = 0  # the lane's iteration count is t + off
+        self.off = 0  # the lane's iteration count is t + off; off is the iterations skipped
         self.moved = 0  # the t at which y last changed: y has been stable for t - moved
         # Brent's method: the saved iterate's bits (None once the lane stops
         # looking), the t at which they were saved, and the gap at which
         # they move on
         self.saved, self.since, self.power = key, 0, 1
-        # a found cycle: its period, the iterations still to skip once one
-        # more cycle has recorded its trace rows, and the iterations skipped
-        self.period = self.skip = self.skipped = 0
+        # a found cycle: its period, and the iterations still to skip once
+        # one more cycle has recorded its trace rows
+        self.period = self.skip = 0
         self.rows: list = []
 
 
@@ -683,7 +674,7 @@ def run_lanes(
             final_objective=float(lane.window[-1]),
             final_step_norm=step_norm,
             y_stable_iters=y_stable,
-            iterations_run=lane.config.max_iters - lane.skipped,
+            iterations_run=lane.config.max_iters - lane.off,
             cycle_period=lane.period,
         )
 
@@ -742,10 +733,7 @@ def run_lanes(
             )
             ended = set(errors)  # lanes that fail or spend their budget at this t
             for pos, exc in errors.items():
-                r = t + lanes[pos].off
-                outcomes[lanes[pos].i] = (
-                    DivergenceError(exc.what, r) if isinstance(exc, DivergenceError) else exc
-                )
+                outcomes[lanes[pos].i] = exc.at(t + lanes[pos].off)
 
             # bits of the rows, for the comparisons below
             xb, yb, ypb, yhb = X.tobytes(), None, None, None
@@ -785,7 +773,7 @@ def run_lanes(
                                 lane.trace.record(j, *lane.rows[(j - r - 1) % lane.period])
                             if t - lane.moved >= lane.period:  # y was constant over the cycle
                                 lane.moved -= skip
-                            lane.off, lane.skipped, lane.skip = lane.off + skip, skip, 0
+                            lane.off, lane.skip = lane.off + skip, 0
                             r += skip
                 if not collecting and lane.saved is not None:
                     gap = t - lane.since

@@ -81,7 +81,7 @@ class TestIsRhoStationary:
     def test_report_serializes(self):
         dset = uniform_lattice(1, 1.0, a=-2.0, b=2.0)
         report = is_rho_stationary(HALF_PARABOLA, dset, [0.0], rho=1.0)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert payload["is_stationary"] is True
         assert payload["candidate"] == [0.0]
         assert payload["tol"] == 1e-9
@@ -163,6 +163,14 @@ class TestEnumerateStationary:
             pts = enumerate_stationary_points(f, dset, rho=f.lipschitz_L)
             assert tuple(argmin) in {tuple(p) for p in pts}
 
+    @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+    def test_tol_validated(self, tol):
+        # x^2/2 - 0.4x: at tol 1e-9 only 0 qualifies; a bad tol is rejected, not answered
+        f, dset = QuadraticObjective(Q=[[1.0]], b=[-0.4]), uniform_lattice(1, 1.0, a=-3.0, b=3.0)
+        np.testing.assert_array_equal(enumerate_stationary_points(f, dset, rho=1.0), [[0.0]])
+        with pytest.raises(ValueError, match=f"^tol must be non-negative and finite, got {tol}$"):
+            enumerate_stationary_points(f, dset, rho=1.0, tol=tol)
+
 
 class TestParameterConditions:
     def test_decrease_convex(self):
@@ -201,14 +209,3 @@ class TestParameterConditions:
     def test_iadmm_fails_for_large_gamma(self):
         assert not check_iadmm_condition(L_f=1.0, mu=0.0, rho=6.0, gamma=0.9)
 
-
-def test_points_stream_to_csv(tmp_path):
-    from admmq.analysis import write_points_csv
-
-    dset = uniform_lattice(1, 1.0, a=-10.0, b=10.0)
-    pts = enumerate_stationary_points(HALF_PARABOLA, dset, rho=1.0)
-    path = tmp_path / "points.csv"
-    write_points_csv(pts, path)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x0"
-    assert len(lines) == pts.shape[0] + 1

@@ -248,13 +248,14 @@ class TestSolve:
         ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "nan"],
         ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "inf"],
         ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "-1"],
+        ["check-stationary", "--point", '{"a": 1}', "--rho", "1"],
     ],
     ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
          "beta-zero", "rho-inf", "gamma-nan", "seed-negative", "init-scale-inf",
          "init-scale-nan", "init-scale-negative", "verify-rho-zero", "verify-Lf-nan",
          "verify-mu-inf", "verify-gamma-nan", "verify-Lf-negative", "verify-mu-negative",
          "verify-gamma-negative", "stationary-rho-inf", "stationary-tol-nan",
-         "stationary-tol-inf", "stationary-tol-negative"],
+         "stationary-tol-inf", "stationary-tol-negative", "stationary-point-object"],
 )
 def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     if argv[0] in ("solve", "check-stationary"):
@@ -264,26 +265,64 @@ def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     assert "error:" in err and out == ""
 
 
+LOADING_COMMANDS = ["solve", "sweep", "bruteforce", "check-stationary"]
 
-@pytest.mark.parametrize("command", ["solve", "sweep", "bruteforce", "check-stationary"])
-def test_set_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
+
+def load_edited_instance(tmp_path, command, edit):
+    """Run ``command`` on a generated d=3 instance whose JSON ``edit`` returns; its exit code."""
     inst_dir = tmp_path / "instances"
     inst_dir.mkdir()
-    path = inst_dir / "cut.json"
+    path = inst_dir / "edited.json"
     assert main(["generate", "--d", "3", "--seed", "1", "--out", str(path)]) == 0
-    inst = json.loads(path.read_text())
-    inst["set"]["coords"] = inst["set"]["coords"][:2]
-    path.write_text(json.dumps(inst))
-    out = tmp_path / "out"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
     argv = {
         "solve": ["--instance", str(path), "--algorithm", "admm-q", "--rho", "2"],
-        "sweep": ["--instances", str(inst_dir), "--out", str(out)],
+        "sweep": ["--instances", str(inst_dir), "--out", str(tmp_path / "out")],
         "bruteforce": ["--instance", str(path), "--bounds", "-8", "8"],
         "check-stationary": ["--instance", str(path), "--point", "[0, 0, 0]", "--rho", "1"],
     }[command]
-    assert main([command, *argv]) == 2
+    return main([command, *argv])
+
+
+def put(inst, keys, value):
+    """``inst`` with the entry at the path ``keys`` set to ``value``; the empty path replaces it."""
+    if not keys:
+        return value
+    target = inst
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return inst
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_set_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
+    def cut(inst):
+        return put(inst, ("set", "coords"), inst["set"]["coords"][:2])
+
+    assert load_edited_instance(tmp_path, command, cut) == 2
     assert "the set has dimension 2 but Q has 3" in capsys.readouterr().err
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
+
+
+MALFORMED = {  # a path into the instance JSON and the value put there
+    "spec-d-string": (("spec", "d"), "abc"),
+    "set-number": (("set",), 5),
+    "coordinate-number": (("set", "coords", 0), 5),
+    "spec-number": (("spec",), 7),
+    "top-level-list": ((), []),
+    "lattice-bound-string": (("set", "coords", 0, "a"), "0"),
+}
+
+
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+@pytest.mark.parametrize("keys, value", MALFORMED.values(), ids=MALFORMED)
+def test_malformed_instance_is_usage_error(tmp_path, capsys, command, keys, value):
+    assert load_edited_instance(tmp_path, command, lambda inst: put(inst, keys, value)) == 2
+    out, err = capsys.readouterr()
+    assert "error:" in err and "malformed instance" in err and out == ""
+    assert not (tmp_path / "out").exists()
+
 
 class TestCheckStationary:
     def test_nonexistence_at_half(self, c1_path, capsys):

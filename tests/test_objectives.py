@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -76,7 +77,7 @@ class TestQuadratic:
 
     def test_json_round_trip(self):
         f = QuadraticObjective(Q=[[2.0, 0.5], [0.5, 1.0]], b=[1.0, -1.0], c=0.08)
-        g = QuadraticObjective.from_json(f.to_json())
+        g = QuadraticObjective.from_dict(json.loads(json.dumps(f.to_dict())))
         np.testing.assert_array_equal(g.Q, f.Q)
         np.testing.assert_array_equal(g.b, f.b)
         assert g.c == f.c

@@ -235,11 +235,11 @@ class TestSerialization:
                 ExplicitGrid(values=(-1.5, 0.0, 0.25)),
             )
         )
-        again = DiscreteProductSet.from_json(dset.to_json())
+        again = DiscreteProductSet.from_dict(json.loads(json.dumps(dset.to_dict())))
         assert again == dset
 
     def test_schema_shape(self):
-        d = json.loads(uniform_lattice(1, 8.0).to_json())
+        d = json.loads(json.dumps(uniform_lattice(1, 8.0).to_dict()))
         assert d == {"coords": [{"kind": "lattice", "v": 8.0, "a": None, "b": None}]}
         assert binary_set(1).to_dict() == {"coords": [{"kind": "binary"}]}
 

@@ -423,8 +423,7 @@ class TestRun:
 
     def test_state_json(self):
         res = run("admm-q", SHIFTED_1D, INTS, self.config(max_iters=5))
-        d = res.state.to_dict()
-        assert set(d) == {"x", "y", "lambda", "r"} and d["r"] == 5
+        assert res.state.r == 5
 
     def test_logistic_run_with_gd_inner(self):
         f = synthetic_logistic(50, 6, seed=4)
@@ -539,8 +538,7 @@ def assert_run_matches_record(method, f, dset, config, record):
     if error is not None and error[1] <= budget:
         with pytest.raises(error[0]) as info:
             run(method, f, dset, config)
-        if error[0] is DivergenceError:
-            assert info.value.iteration == error[1]
+        assert info.value.iteration == error[1]
         return None
     res = run(method, f, dset, config)
     trace = RunTrace()
@@ -682,7 +680,7 @@ def assert_same_outcome(got, want):
     """Two run outcomes agree field by field, bit for bit."""
     if isinstance(want, SolverError):
         assert type(got) is type(want) and str(got) == str(want)
-        assert getattr(got, "iteration", None) == getattr(want, "iteration", None)
+        assert got.iteration == want.iteration
         return
     assert not isinstance(got, SolverError), got
     got_trace, want_trace = got.trace.as_arrays(), want.trace.as_arrays()
@@ -771,8 +769,16 @@ UNIT_1D = QuadraticObjective(Q=[[1.0]], b=[0.0])
 STIFF_2D = QuadraticObjective(Q=np.diag([100.0, 1.0]), b=[1.0, 1.0])
 
 
+def error_kind(text):
+    return InnerSolverError if text.startswith("x-update certificate") else DivergenceError
+
+
 class TestDivergenceTexts:
-    """Each way a run can diverge, with its exact message and iteration."""
+    """Each way a run can fail, with its exact message and iteration.
+
+    A missed x-update certificate is an :class:`InnerSolverError`; every other
+    failure is a :class:`DivergenceError`.
+    """
 
     CASES = {
         **{f"target-{m}": (m, HUGE_SLOPE, SolverConfig(rho=1.0),
@@ -791,6 +797,12 @@ class TestDivergenceTexts:
         "inner-gd": ("iadmm-q", STIFF_2D,
                      SolverConfig(rho=1e-3, gamma=0.5, init_scale=1e307, seed=1),
                      "non-finite iterate in inner gradient descent at iteration 1", 1),
+        # one inner step cannot certify the x-update of the fourth iteration
+        "inner-certificate": ("iadmm-q", STIFF_2D,
+                              SolverConfig(rho=100.0, gamma=0.5, init_scale=5.0, seed=1,
+                                           inner=InnerSolverConfig(max_inner_iters=1)),
+                              "x-update certificate not met within 1 inner iterations "
+                              "(last gradient norm 1.122e+01) at iteration 4", 4),
         **{name: (m, UNIT_1D, SolverConfig(init_scale=1e308, seed=4),
                   "non-finite start at iteration 0", 0)
            for name, m in (("start", "admm-q"), ("start-gd-proj", "gd-proj"))},
@@ -801,7 +813,7 @@ class TestDivergenceTexts:
     @pytest.mark.filterwarnings("error::RuntimeWarning")  # the run handles its own overflow
     def test_message_and_iteration(self, method, f, config, text, iteration):
         config = dataclasses.replace(config, max_iters=300, mask_prob=0.5, beta=0.5)
-        with pytest.raises(DivergenceError) as info:
+        with pytest.raises(error_kind(text)) as info:
             run(method, f, uniform_lattice(f.dim, 1.0), config)
         assert (str(info.value), info.value.iteration) == (text, iteration)
 
@@ -814,12 +826,13 @@ class TestDivergenceTexts:
         state = initial_state(dset, config, rng)
         step = {
             "admm-q": lambda s: admm_q_step(f, dset, s, rho),
-            "iadmm-q": lambda s: iadmm_q_step(f, dset, s, rho, config.gamma),
+            "iadmm-q": lambda s: iadmm_q_step(
+                f, dset, s, rho, config.gamma, build_x_update(f, rho, config.inner, config.gamma)),
             "admm-r": lambda s: admm_r_step(f, dset, s, rho, config.mask_prob, rng),
             "admm-s": lambda s: admm_s_step(f, dset, s, rho, config.beta),
             "pgd": lambda s: dataclasses.replace(s, x=pgd_step(f, dset, s.x, rho), r=s.r + 1),
         }[method]
-        with pytest.raises(DivergenceError) as info:
+        with pytest.raises(error_kind(text)) as info:
             for _ in range(iteration):
                 state = step(state)
         assert state.r == iteration - 1  # the step that raised makes iteration r + 1

@@ -1,12 +1,18 @@
 """Command-line front end: instance generation, solves, sweeps, and checks.
 
-Exit codes: 0 success, 2 usage error, 3 divergence, 4 infeasible parameters
-(the run's decrease condition fails and --force was not given).
+Exit codes: 0 success; 2 usage error, an input that cannot be read or an
+output that cannot be written; 3 divergence; 4 infeasible parameters (the
+run's decrease condition fails and --force was not given) or another solver
+failure. Commands raise, and ``main`` alone turns an error into its code and
+one ``error:`` line.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
+import io
 import json
 import math
 import sys
@@ -53,14 +59,15 @@ def _round12(v):
 def _write_payload(payload: dict, out: str | None, fmt: str = "json"):
     """Write ``payload`` as json, csv or ``key value`` text to ``out`` or stdout."""
     if fmt == "text":
-        lines = [f"{k} {_fmt(v) if isinstance(v, float) else v}" for k, v in payload.items()]
+        rows = [f"{k} {_fmt(v) if isinstance(v, float) else v}\n" for k, v in payload.items()]
+        text = "".join(rows)
+    elif fmt == "csv":  # csv quotes the commas of a list value
+        buf = io.StringIO()
+        rows = [(k, json.dumps(_round12(v))) for k, v in payload.items()]
+        csv.writer(buf, lineterminator="\n").writerows([("key", "value"), *rows])
+        text = buf.getvalue()
     else:
-        payload = {k: _round12(v) for k, v in payload.items()}
-        if fmt == "csv":
-            lines = ["key,value"] + [f"{k},{json.dumps(v)}" for k, v in payload.items()]
-        else:
-            lines = [json.dumps(payload)]
-    text = "\n".join(lines) + "\n"
+        text = json.dumps({k: _round12(v) for k, v in payload.items()}) + "\n"
     if out:
         Path(out).write_text(text)
     else:
@@ -70,6 +77,15 @@ def _write_payload(payload: dict, out: str | None, fmt: str = "json"):
 def _fail(message: str, code: int) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+@contextlib.contextmanager
+def _prefixed(prefix: str, kinds=(OSError, ValueError)):
+    """Re-raise an error of ``kinds`` as a ValueError whose text starts with ``prefix``."""
+    try:
+        yield
+    except kinds as exc:
+        raise ValueError(f"{prefix}: {exc}") from exc
 
 
 def _load_instance(path: str) -> GeneratedInstance:
@@ -83,58 +99,49 @@ def _load_instance(path: str) -> GeneratedInstance:
 
 
 def cmd_generate(args) -> int:
-    try:
-        spec = InstanceSpec(
-            d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    spec = InstanceSpec(
+        d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
+    )
     inst = generate_instance(spec)
     Path(args.out).write_text(json.dumps(inst.to_dict(), sort_keys=True, indent=1) + "\n")
     return EXIT_OK
 
 
-def _flag_consistency(args) -> str | None:
-    if args.beta is not None and args.algorithm != "admm-s":
-        return "--beta applies only to admm-s"
-    if args.p is not None and args.algorithm != "admm-r":
-        return "--p applies only to admm-r"
-    if args.gamma is not None and args.algorithm != "iadmm-q":
-        return "--gamma applies only to iadmm-q"
-    return None
+def _check_flags(args):
+    for flag, value, alg in (("--beta", args.beta, "admm-s"), ("--p", args.p, "admm-r"),
+                             ("--gamma", args.gamma, "iadmm-q")):
+        if value is not None and args.algorithm != alg:
+            raise ValueError(f"{flag} applies only to {alg}")
+
+
+_OVERFLOW = "the parameter condition overflows a double"
 
 
 def _feasibility_gate(alg: str, config: SolverConfig, L_f: float, mu: float) -> bool:
     """True when the run's parameter condition holds."""
     if alg == "pgd":
         return config.rho >= L_f
-    if alg == "iadmm-q":
-        return check_iadmm_condition(L_f, mu, config.rho, config.gamma)
     if alg == "gd-proj":
         return True
-    return check_decrease_condition(L_f, mu, config.rho)
+    with _prefixed(_OVERFLOW, (OverflowError,)):
+        if alg == "iadmm-q":
+            return check_iadmm_condition(L_f, mu, config.rho, config.gamma)
+        return check_decrease_condition(L_f, mu, config.rho)
 
 
 def cmd_solve(args) -> int:
-    problem = _flag_consistency(args)
-    if problem:
-        return _fail(problem, EXIT_USAGE)
+    _check_flags(args)
     given = {"gamma": args.gamma, "beta": args.beta, "mask_prob": args.p}
-    try:
-        config = SolverConfig(
-            **{k: v for k, v in given.items() if v is not None},
-            rho=args.rho,
-            max_iters=args.iters,
-            seed=args.seed,
-            init_scale=args.init_scale,
-            trace_stride=args.trace_stride,
-        )
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
-    try:
+    config = SolverConfig(
+        **{k: v for k, v in given.items() if v is not None},
+        rho=args.rho,
+        max_iters=args.iters,
+        seed=args.seed,
+        init_scale=args.init_scale,
+        trace_stride=args.trace_stride,
+    )
+    with _prefixed("cannot load instance"):
         inst = _load_instance(args.instance)
-    except (OSError, ValueError) as exc:
-        return _fail(f"cannot load instance: {exc}", EXIT_USAGE)
     L_f, mu = inst.objective.lipschitz_L, inst.objective.weak_convexity_mu
     if not args.force and not _feasibility_gate(args.algorithm, config, L_f, mu):
         return _fail(
@@ -142,21 +149,13 @@ def cmd_solve(args) -> int:
             f"rho={_fmt(args.rho)}); pass --force to run anyway",
             EXIT_INFEASIBLE,
         )
-    try:
-        result = run(args.algorithm, inst.objective, inst.dset, config)
-    except DivergenceError as exc:
-        return _fail(f"run diverged: {exc}", EXIT_DIVERGED)
-    except SolverError as exc:
-        return _fail(f"solver failure: {exc}", EXIT_INFEASIBLE)
+    result = run(args.algorithm, inst.objective, inst.dset, config)
 
-    stationary = None
-    try:  # the reported point is y; pgd and gd-proj keep y equal to x
-        report = is_rho_stationary(
-            inst.objective, inst.dset, result.state.y, args.rho, membership_tol=1e-6
-        )
+    y = result.state.y  # the reported point; pgd and gd-proj keep y equal to x
+    stationary = None  # admm-s's y may lie off the set
+    if inst.dset.contains(y, tol=1e-6):
+        report = is_rho_stationary(inst.objective, inst.dset, y, args.rho, membership_tol=1e-6)
         stationary = report.is_stationary
-    except ValueError:
-        pass  # final point off the set (possible for admm-s)
 
     if args.trace:
         result.trace.to_csv(args.trace)
@@ -176,54 +175,49 @@ def cmd_solve(args) -> int:
 
 def cmd_sweep(args) -> int:
     if args.generate < 0 or bool(args.instances) == bool(args.generate):
-        return _fail("pass either --instances DIR or --generate N with N >= 1", EXIT_USAGE)
+        raise ValueError("pass either --instances DIR or --generate N with N >= 1")
     if args.bins < 1:
-        return _fail(f"--bins must be positive, got {args.bins}", EXIT_USAGE)
+        raise ValueError(f"--bins must be positive, got {args.bins}")
     if args.workers < 1:
-        return _fail(f"--workers must be positive, got {args.workers}", EXIT_USAGE)
+        raise ValueError(f"--workers must be positive, got {args.workers}")
     instances = []
     if args.instances:
         paths = sorted(Path(args.instances).glob("*.json"))
         if not paths:
-            return _fail(f"no instance files in {args.instances}", EXIT_USAGE)
+            raise ValueError(f"no instance files in {args.instances}")
+        files = {}  # instance id -> the file that gave it
         for p in paths:
-            try:
-                instances.append(_load_instance(p))
-            except (OSError, ValueError) as exc:
-                return _fail(f"cannot load {p}: {exc}", EXIT_USAGE)
+            with _prefixed(f"cannot load {p}"):
+                inst = _load_instance(p)
+            first = files.setdefault(inst.instance_id, p)
+            if first != p:
+                raise ValueError(f"instance id {inst.instance_id!r} is in both {first} and {p}")
+            instances.append(inst)
     else:
-        try:
-            specs = [
-                InstanceSpec(d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, seed=args.seed + i)
-                for i in range(args.generate)
-            ]
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_USAGE)
+        specs = [
+            InstanceSpec(d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, seed=args.seed + i)
+            for i in range(args.generate)
+        ]
         instances = [generate_instance(spec) for spec in specs]
 
     overrides = {}
     if args.protocol:
-        try:
-            with open(args.protocol) as fh:
-                overrides = json.load(fh)
-        except (OSError, ValueError) as exc:
-            return _fail(f"cannot load protocol: {exc}", EXIT_USAGE)
-    try:
+        with _prefixed("cannot load protocol"), open(args.protocol) as fh:
+            overrides = json.load(fh)
+    with _prefixed("bad protocol", (TypeError, ValueError)):
         for key in ("rho_grid", "beta_grid", "p_grid"):
             if key in overrides:
                 overrides[key] = tuple(overrides[key])
         protocol = (
             ProtocolSpec.paper(**overrides) if args.paper_scale else ProtocolSpec(**overrides)
         )
-    except (TypeError, ValueError) as exc:
-        return _fail(f"bad protocol: {exc}", EXIT_USAGE)
 
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
-        return _fail("--algorithms names no algorithm", EXIT_USAGE)
+        raise ValueError("--algorithms names no algorithm")
     for alg in algorithms:
         if alg not in METHODS:
-            return _fail(f"unknown algorithm {alg!r}", EXIT_USAGE)
+            raise ValueError(f"unknown algorithm {alg!r}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -254,15 +248,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_check_stationary(args) -> int:
-    try:
+    with _prefixed("bad inputs", (OSError, TypeError, ValueError)):
         inst = _load_instance(args.instance)
         point = np.asarray(json.loads(args.point), dtype=float)
-    except (OSError, TypeError, ValueError) as exc:
-        return _fail(f"bad inputs: {exc}", EXIT_USAGE)
-    try:
-        report = is_rho_stationary(inst.objective, inst.dset, point, args.rho, tol=args.tol)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    report = is_rho_stationary(inst.objective, inst.dset, point, args.rho, tol=args.tol)
     payload = report.to_dict()
     payload["rho"] = args.rho
     _write_payload(payload, args.out, args.format)
@@ -285,15 +274,10 @@ def _bounded_set(dset: DiscreteProductSet, bounds) -> DiscreteProductSet:
 
 
 def cmd_bruteforce(args) -> int:
-    try:
+    with _prefixed("bad inputs"):
         inst = _load_instance(args.instance)
         dset = _bounded_set(inst.dset, args.bounds)
-    except (OSError, ValueError) as exc:
-        return _fail(f"bad inputs: {exc}", EXIT_USAGE)
-    try:
-        argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)
     _write_payload(
         {"argmin": [_round12(v) for v in argmin.tolist()], "value": value},
         args.out,
@@ -303,25 +287,26 @@ def cmd_bruteforce(args) -> int:
 
 
 def cmd_verify_conditions(args) -> int:
-    try:  # SolverConfig holds the rules for rho and gamma
-        SolverConfig(rho=args.rho, gamma=0.0 if args.gamma is None else args.gamma)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_USAGE)
+    # SolverConfig holds the rules for rho and gamma
+    SolverConfig(rho=args.rho, gamma=0.0 if args.gamma is None else args.gamma)
     for flag, value in (("--Lf", args.Lf), ("--mu", args.mu)):
         if not (0 <= value < math.inf):
-            return _fail(f"{flag} must be non-negative and finite, got {value}", EXIT_USAGE)
-    payload = {
-        "L_f": args.Lf,
-        "mu": args.mu,
-        "rho": args.rho,
-        "decrease": check_decrease_condition(args.Lf, args.mu, args.rho),
-        "decrease_value": decrease_condition_value(args.Lf, args.mu, args.rho),
-        "rho_geq_Lf": args.rho >= args.Lf,
-    }
-    if args.gamma is not None:
-        payload["gamma"] = args.gamma
-        payload["iadmm"] = check_iadmm_condition(args.Lf, args.mu, args.rho, args.gamma)
-        payload["iadmm_value"] = iadmm_condition_value(args.Lf, args.mu, args.rho, args.gamma)
+            raise ValueError(f"{flag} must be non-negative and finite, got {value}")
+    with _prefixed(_OVERFLOW, (OverflowError,)):
+        payload = {
+            "L_f": args.Lf,
+            "mu": args.mu,
+            "rho": args.rho,
+            "decrease": check_decrease_condition(args.Lf, args.mu, args.rho),
+            "decrease_value": decrease_condition_value(args.Lf, args.mu, args.rho),
+            "rho_geq_Lf": args.rho >= args.Lf,
+        }
+        if args.gamma is not None:
+            payload["gamma"] = args.gamma
+            payload["iadmm"] = check_iadmm_condition(args.Lf, args.mu, args.rho, args.gamma)
+            payload["iadmm_value"] = iadmm_condition_value(args.Lf, args.mu, args.rho, args.gamma)
+    if not all(map(math.isfinite, payload.values())):
+        raise ValueError(_OVERFLOW)
     _write_payload(payload, args.out, args.format)
     return EXIT_OK
 
@@ -422,7 +407,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except DivergenceError as exc:
+        return _fail(f"run diverged: {exc}", EXIT_DIVERGED)
+    except SolverError as exc:
+        return _fail(f"solver failure: {exc}", EXIT_INFEASIBLE)
+    except (OSError, ValueError) as exc:
+        return _fail(str(exc), EXIT_USAGE)
 
 
 def entrypoint():

@@ -1,9 +1,15 @@
+import contextlib
+import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from admmq.cli import main
+from admmq.solvers import METHODS
 
 INT_LATTICE = {"coords": [{"kind": "lattice", "v": 1.0, "a": None, "b": None}]}
 
@@ -216,6 +222,14 @@ class TestSolve:
         err = capsys.readouterr().err
         assert f"cannot load instance: {field} must be finite" in err
 
+    @pytest.mark.parametrize("algorithm", ["admm-q", "iadmm-q"])
+    def test_overflowing_condition_is_usage_error(self, tmp_path, capsys, algorithm):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(dict(DEMO_1D, Q=[[1e200]])))
+        assert main(["solve", "--instance", str(path), "--algorithm", algorithm]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: the parameter condition overflows a double")
+
     def test_deterministic_given_seed(self, demo_path, capsys):
         argv = ["--instance", demo_path, "--algorithm", "admm-r",
                 "--rho", "2", "--p", "0.5", "--iters", "50", "--seed", "9"]
@@ -249,13 +263,17 @@ class TestSolve:
         ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "inf"],
         ["check-stationary", "--point", "[0]", "--rho", "1", "--tol", "-1"],
         ["check-stationary", "--point", '{"a": 1}', "--rho", "1"],
+        ["verify-conditions", "--Lf", "1e308", "--mu", "1e308", "--rho", "1e308",
+         "--gamma", "2"],
+        ["verify-conditions", "--Lf", "1e100", "--rho", "1e-300"],
     ],
     ids=["rho-zero", "rho-negative", "iters-negative", "stride-zero", "p-above-one",
          "beta-zero", "rho-inf", "gamma-nan", "seed-negative", "init-scale-inf",
          "init-scale-nan", "init-scale-negative", "verify-rho-zero", "verify-Lf-nan",
          "verify-mu-inf", "verify-gamma-nan", "verify-Lf-negative", "verify-mu-negative",
          "verify-gamma-negative", "stationary-rho-inf", "stationary-tol-nan",
-         "stationary-tol-inf", "stationary-tol-negative", "stationary-point-object"],
+         "stationary-tol-inf", "stationary-tol-negative", "stationary-point-object",
+         "verify-square-overflows", "verify-value-overflows"],
 )
 def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     if argv[0] in ("solve", "check-stationary"):
@@ -499,3 +517,179 @@ class TestSweep:
                      "--out", str(out)]) == 2
         assert "error: --workers" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("instance_id", ["same", None], ids=["same-id", "no-id"])
+    def test_repeated_instance_id_is_usage_error(self, tmp_path, capsys, instance_id):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        inst = {k: v for k, v in QUAD_2D.items() if k != "id"}
+        if instance_id is not None:
+            inst["id"] = instance_id
+        for name in ("a.json", "b.json"):
+            (inst_dir / name).write_text(json.dumps(inst))
+        out = tmp_path / "out"
+        assert main(["sweep", "--instances", str(inst_dir), "--out", str(out)]) == 2
+        repeated = instance_id or "instance"  # the id of an instance file without one
+        assert capsys.readouterr().err == (
+            f"error: instance id {repeated!r} is in both {inst_dir / 'a.json'} "
+            f"and {inst_dir / 'b.json'}\n"
+        )
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["bruteforce", "--bounds", "-3", "3"],
+     ["check-stationary", "--point", "[1, -1]", "--rho", "1"]],
+    ids=["bruteforce", "check-stationary"],
+)
+def test_csv_values_read_back_as_json(quad2_path, capsys, argv):
+    assert main([*argv, "--instance", quad2_path, "--format", "csv"]) == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows[0] == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    values = {key: json.loads(value) for key, value in rows[1:]}
+    if argv[0] == "bruteforce":
+        assert values["argmin"] == [1.0, -1.0]
+    if argv[0] == "check-stationary":
+        assert len(values["candidate"]) == 2
+
+
+UNWRITABLE = {  # every output path of every command; OUT stands for the path
+    "generate-out": ["generate", "--d", "2", "--out", "OUT"],
+    "solve-out": ["solve", "--algorithm", "admm-q", "--rho", "2", "--iters", "5", "--out", "OUT"],
+    "solve-trace": ["solve", "--algorithm", "admm-q", "--rho", "2", "--iters", "5",
+                    "--trace", "OUT"],
+    "check-stationary-out": ["check-stationary", "--point", "[0]", "--rho", "1", "--out", "OUT"],
+    "bruteforce-out": ["bruteforce", "--bounds", "-3", "3", "--out", "OUT"],
+    "verify-conditions-out": ["verify-conditions", "--Lf", "1", "--rho", "2", "--out", "OUT"],
+    "sweep-out": ["sweep", "--generate", "1", "--d", "2", "--out", "OUT"],
+}
+
+
+@pytest.mark.parametrize(
+    "name, parent",
+    [(name, parent) for name in UNWRITABLE for parent in ("file", "missing")
+     if not (name == "sweep-out" and parent == "missing")],  # sweep makes missing parents
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, demo_path, name, parent):
+    (tmp_path / "file").write_text("a regular file\n")
+    out = str(tmp_path / parent / "out")
+    argv = [out if a == "OUT" else a for a in UNWRITABLE[name]]
+    if argv[0] in ("solve", "check-stationary", "bruteforce"):
+        argv += ["--instance", demo_path]
+    assert main(argv) == 2
+    stdout, stderr = capsys.readouterr()
+    assert stdout == ""
+    assert len(stderr.splitlines()) == 1 and stderr.startswith("error: ")
+
+
+FUZZ_FLOATS = (["2", "0.5", "1000"], ["0", "1e-300", "-1", "1e100", "1e308", "nan", "inf", "-inf"])
+FUZZ_COUNTS = (["1", "2", "3"], ["0", "-1", "-2"])
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """Good and bad inputs for :func:`test_main_reports_bad_input`."""
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "file").write_text("a regular file\n")
+    (root / "inst.json").write_text(json.dumps(QUAD_2D))
+    (root / "big.json").write_text(json.dumps(dict(QUAD_2D, Q=[[1e200, 0.0], [0.0, 1.0]])))
+    (root / "nan.json").write_text(json.dumps(dict(QUAD_2D, b=[float("nan"), 0.0])))
+    (root / "broken.json").write_text("{")
+    for name, files in (("good", ["inst.json"]), ("twice", ["inst.json", "inst.json"]),
+                        ("big", ["big.json"])):
+        (root / name).mkdir()
+        for i, f in enumerate(files):
+            (root / name / f"{i}.json").write_text((root / f).read_text())
+    tiny = {"n_inits": 1, "iters_admm": 3, "iters_pgd": 3, "window": 2, "rho_grid": [10.0],
+            "beta_grid": [1.0], "p_grid": [0.5]}
+    (root / "tiny.json").write_text(json.dumps(tiny))
+    (root / "bad-values.json").write_text(json.dumps(dict(tiny, rho_grid=[-1], window=0)))
+    (root / "list.json").write_text("[1, 2]")
+    return root
+
+
+def fuzz_argv(root, draw):
+    """An argv for a random subcommand; each value is bad with probability 1/4."""
+    def pick(good, bad):
+        return draw(st.sampled_from(bad if draw(st.integers(0, 3)) == 0 else good))
+
+    def flags(*names, values=FUZZ_FLOATS, optional=True):
+        return [f"{f}={pick(*values)}" for f in names if not optional or draw(st.booleans())]
+
+    def path(good, *bad):
+        return str(root / pick([good], bad))
+
+    instance = ["--instance", path("inst.json", "big.json", "nan.json", "broken.json",
+                                   "missing.json", "file/x.json")]
+    out = path("out", "file/out", "missing/out")
+    maybe_out = draw(st.sampled_from([[], ["--out", out]]))
+    command = draw(st.sampled_from(["solve", "sweep", "check-stationary", "bruteforce",
+                                    "verify-conditions", "generate"]))
+    if command == "generate":
+        return ["generate", *flags("--d", values=FUZZ_COUNTS, optional=False),
+                *flags("--v", "--sigma-q-sq", "--b-scale"), "--out", out]
+    if command == "solve":
+        algorithm = draw(st.sampled_from(METHODS))
+        own = {"admm-s": "--beta", "admm-r": "--p", "iadmm-q": "--gamma"}.get(algorithm)
+        extra = pick([own], ["--beta", "--p", "--gamma"])  # a flag of another algorithm
+        return ["solve", *instance, "--algorithm", algorithm, *flags("--rho", "--init-scale"),
+                *flags(*filter(None, [extra])), *flags("--seed", values=FUZZ_COUNTS),
+                *flags("--iters", "--trace-stride", values=FUZZ_COUNTS),
+                *draw(st.sampled_from([[], ["--force"]])),
+                *draw(st.sampled_from([[], ["--trace", out]])),
+                "--format", draw(st.sampled_from(["text", "json"])), *maybe_out]
+    if command == "sweep":
+        source = draw(st.sampled_from([
+            ["--instances", path("good", "twice", "big", "missing", "file")],
+            [*flags("--generate", "--d", values=FUZZ_COUNTS, optional=False),
+             *flags("--seed", values=FUZZ_COUNTS), *flags("--sigma-q-sq")],
+        ]))
+        protocol = path("tiny.json", "bad-values.json", "list.json", "broken.json",
+                        "missing.json")
+        algorithms = pick(["admm-q", "admm-s,pgd,gd-proj"], [",", "nope"])
+        return ["sweep", *source, "--protocol", protocol, "--algorithms", algorithms,
+                "--workers", pick(["1"], ["0", "-1"]), *flags("--bins", values=FUZZ_COUNTS),
+                "--out", out]
+    if command == "check-stationary":
+        point = pick(["[1, -1]", "[0, 0]"], ["[0]", "[NaN, 0]", "[1e308, 0]", "{", '{"a": 1}'])
+        return ["check-stationary", *instance, f"--point={point}",
+                *flags("--rho", optional=False), *flags("--tol"),
+                "--format", draw(st.sampled_from(["json", "csv"])), *maybe_out]
+    if command == "bruteforce":
+        bound = (["-3", "3", "0"], ["-2.5", "1e308", "nan", "inf"])  # "-inf" reads as a flag
+        return ["bruteforce", *instance, "--bounds", pick(*bound), pick(*bound),
+                *flags("--limit", values=(["50", "100"], ["0", "-1", "3"])),
+                "--format", draw(st.sampled_from(["json", "csv"])), *maybe_out]
+    return ["verify-conditions", *flags("--Lf", "--rho", optional=False),
+            *flags("--mu", "--gamma"), "--format", draw(st.sampled_from(["json", "csv"])),
+            *maybe_out]
+
+
+def strict_json(text):
+    """``text`` parsed as JSON that holds no NaN or Infinity."""
+    def reject(token):
+        raise AssertionError(f"{token} in {text!r}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_main_reports_bad_input(fuzz_dir, data):
+    """``main`` never raises: it exits 0 with finite output or prints one ``error:`` line."""
+    argv = fuzz_argv(fuzz_dir, data.draw)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in (0, 2, 3, 4)
+    if code:
+        errors = [line for line in stderr.getvalue().splitlines() if line.startswith("error:")]
+        assert len(errors) == 1, argv
+        assert stdout.getvalue() == "", argv
+    elif "json" in argv:
+        strict_json(stdout.getvalue() or "null")
+    elif "csv" in argv:
+        for _, value in list(csv.reader(io.StringIO(stdout.getvalue())))[1:]:
+            strict_json(value)

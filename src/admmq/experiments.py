@@ -11,10 +11,12 @@ the best grid point per algorithm is selected by median.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -248,15 +250,16 @@ def _hyper_key(hyper: dict) -> str:
 
 
 def _execute_task(task) -> list[RunRecord]:
-    """Run a block of lanes of one algorithm; a lane's ``SolverError`` marks it diverged."""
-    instance, algorithm, lanes, protocol = task
+    """Run a block of (algorithm, grid point, init) lanes; a ``SolverError`` marks one diverged."""
+    instance, lanes, protocol = task
     configs = [
         _make_config(algorithm, hyper, protocol, init_seed(protocol, instance, init_index))
-        for hyper, init_index in lanes
+        for algorithm, hyper, init_index in lanes
     ]
-    outcomes = run_lanes(algorithm, instance.objective, instance.dset, configs)
+    methods = [algorithm for algorithm, _, _ in lanes]
+    outcomes = run_lanes(methods, instance.objective, instance.dset, configs)
     records = []
-    for (hyper, init_index), out in zip(lanes, outcomes):
+    for (algorithm, hyper, init_index), out in zip(lanes, outcomes):
         failed = isinstance(out, SolverError)
         records.append(
             RunRecord(
@@ -271,11 +274,56 @@ def _execute_task(task) -> list[RunRecord]:
     return records
 
 
-def _chunks(items: list, k: int) -> list[list]:
-    """``items`` cut into at most ``k`` contiguous pieces of near-equal length."""
-    n = len(items)
-    k = min(max(k, 1), n)
-    return [items[i * n // k:(i + 1) * n // k] for i in range(k)]
+def _deal(items: list, k: int) -> list[list]:
+    """``items`` dealt round-robin into at most ``k`` pieces of near-equal length."""
+    k = min(max(k, 1), len(items))
+    return [items[i::k] for i in range(k)]
+
+
+def _openblas(fn: str) -> list:
+    """OpenBLAS's function ``fn`` in each OpenBLAS library this process has mapped.
+
+    The libraries are found among the mapped files of Linux's /proc, so
+    elsewhere the list is empty. A file that was deleted since it was mapped,
+    or that cannot be loaded, or that lacks ``fn``, adds nothing.
+    """
+    paths = set()
+    try:
+        with open("/proc/self/maps") as fh:
+            for line in fh:
+                fields = line.rstrip("\n").split(None, 5)  # the path may hold spaces
+                path = fields[5] if len(fields) == 6 else ""
+                if "openblas" in path.rsplit("/", 1)[-1] and not path.endswith(" (deleted)"):
+                    paths.add(path)
+    except OSError:
+        return []
+    funcs = []
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        names = (f"openblas_{fn}", f"scipy_openblas_{fn}", f"scipy_openblas_{fn}64_")
+        funcs += [getattr(lib, name) for name in names if hasattr(lib, name)][:1]
+    return funcs
+
+
+def _share_cores(workers: int):
+    """Pool initializer: the workers' OpenBLAS threads together use each core once.
+
+    OpenBLAS runs a triangular solve of many right-hand sides on several
+    threads. With a worker on every core those threads mostly wait for one
+    another: the default sweep of the README took 109 s at ``--workers 2``
+    on a 2-vCPU host, and 21 s with one BLAS thread per worker. Where no
+    OpenBLAS is found (see :func:`_openblas`) the threads stay as they are.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:
+        return
+    for setter in _openblas("set_num_threads"):
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        setter(max(1, cores // workers))
 
 
 class SweepResult:
@@ -384,11 +432,16 @@ def run_protocol(
     lands on the projection, so the point takes admm-q's records at the same
     rho, and admm-q runs even when the sweep does not include it.
 
-    Each source algorithm's runs, in grid order, are the lanes of
-    :func:`~admmq.solvers.run_lanes`. With ``max_workers > 1`` they are cut
-    into one contiguous block per worker and the blocks go to a process
-    pool; records are read back by (algorithm, grid point, init), so results
-    do not depend on scheduling.
+    The runs are the lanes of :func:`~admmq.solvers.run_lanes` calls. The
+    ADMM family (admm-q, iadmm-q, admm-r, admm-s) shares calls: its n runs,
+    in plan order, are dealt round-robin into ``min(max_workers, n)``
+    blocks, so that each block mixes the methods and grid points and the
+    blocks take about equally long. pgd's runs and gd-proj's, in grid order,
+    are each dealt the same way into blocks of their own. With more
+    than one block the blocks go to a process pool of one worker per block,
+    up to ``max_workers``, whose OpenBLAS threads share the cores; records
+    are read back by (algorithm, grid point, init), so results do not
+    depend on scheduling.
     """
     # a hair above the radius, so that rounding in a distance cannot reach it
     reach = instance.dset.covering_radius() * (1.0 + 1e-9)
@@ -401,17 +454,25 @@ def run_protocol(
             plan.append((alg, _hyper_key(hyper), src, _hyper_key(src_hyper)))
 
     wanted = {(src, key) for _, _, src, key in plan}
-    tasks = []
-    for src in dict.fromkeys(src for _, _, src, _ in plan):
-        lanes = [
-            (hyper, init_index)
+    runs = {  # each source algorithm's runs, in grid order
+        src: [
+            (src, hyper, init_index)
             for hyper in protocol.grid_for(src)
             if (src, _hyper_key(hyper)) in wanted
             for init_index in range(protocol.n_inits)
         ]
-        tasks += [(instance, src, block, protocol) for block in _chunks(lanes, max_workers)]
-    if max_workers > 1:
-        with ProcessPoolExecutor(max_workers=max_workers) as pool:
+        for src in dict.fromkeys(src for _, _, src, _ in plan)
+    }
+    alone = [src for src in runs if src in ("pgd", "gd-proj")]
+    family = [lane for src, lanes in runs.items() if src not in alone for lane in lanes]
+    tasks = [
+        (instance, block, protocol)
+        for lanes in [family] + [runs[src] for src in alone]
+        for block in _deal(lanes, max_workers)
+    ]
+    workers = min(max_workers, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
             outputs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
         outputs = [_execute_task(t) for t in tasks]

@@ -18,7 +18,9 @@ The four ADMM methods share one iteration and differ only in how y is
 taken from the projection and in the accuracy of the x-solve. That iteration
 and pgd's step are written once, as one step of a batch of independent runs
 (lanes) held as rows of ``(n, d)`` arrays, which alone decides how a lane
-failed. ``run_lanes`` drives a batch and ``run`` a single run;
+failed. One batch may mix the four ADMM methods, since each lane carries
+its own method and so its own y-rule; pgd's lanes run in a batch of their
+own. ``run_lanes`` drives a batch and ``run`` a single run;
 both record a :class:`RunTrace` and the best objective over a trailing
 window, and stop a run early once its iterate cycles exactly. Each method is
 also available as a single-step transition function.
@@ -272,17 +274,19 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None):
-    """One iteration of ``method`` for every lane; rows of the arrays are lanes.
+def _step_lanes(pgd, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None, soft=None):
+    """One iteration for every lane; rows of the arrays are lanes.
 
-    pgd takes the projected gradient step. The ADMM family projects each
-    target ``z = x + lambda/rho`` and takes y from the projection: as it is
-    (admm-q, iadmm-q), where ``masks`` is True with the old y kept elsewhere
-    (admm-r), or moved from z toward it by at most ``radius`` (admm-s). Then
-    it minimizes the Lagrangian in x and ascends lambda. ``rho`` and
-    ``radius`` are numbers or columns with one entry per lane, and ``solves``
-    lists ``(start, stop, x_update)`` for each block of lanes that shares an
-    x-solver.
+    With ``pgd`` every lane takes the projected gradient step. Otherwise each
+    lane takes the ADMM iteration: it projects its target ``z = x +
+    lambda/rho`` and takes y from the projection, where its row of ``masks``
+    is True, with the old y kept elsewhere (admm-r's mask; the other methods'
+    rows are all True), or, on a True row of the boolean column ``soft``,
+    moved from z toward it by at most ``radius`` (admm-s; None: no row is
+    soft). Then it minimizes the Lagrangian in x and ascends lambda. ``rho``
+    and ``radius`` are numbers or columns with one entry per lane, and
+    ``solves`` lists ``(start, stop, x_update)`` for each block of lanes
+    that shares an x-solver.
 
     Returns the new X, Y and Lam, the inner steps per lane (None when every
     solve is direct), the projection, f of each row of Y, and ``{lane:
@@ -290,20 +294,19 @@ def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=N
     x-solver's error, else a non-finite x, lambda or objective. An error
     here names no iteration; the caller knows it.
     """
-    Z = X - f.gradient_rows(X) / rho if method == "pgd" else X + Lam / rho
+    Z = X - f.gradient_rows(X) / rho if pgd else X + Lam / rho
     bad = [] if math.isfinite(Z.sum()) else np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist()
     Z_proj = dset.project_many(Z)
-    if masks is not None:
-        Y_new = np.where(masks, Z_proj, Y)
-    elif radius is not None:
+    Y_new = Z_proj if masks is None else np.where(masks, Z_proj, Y)
+    if soft is not None:
         D = Z_proj - Z
         # np.linalg.norm of each row, bit for bit: one dot product per row
         dist = np.sqrt(np.matmul(D[:, None], D[:, :, None])).reshape(len(D), 1)
-        Y_new = np.where((radius > dist) | (dist == 0.0), Z_proj, Z + radius * (D / dist))
-    else:
-        Y_new = Z_proj
+        # a row that is not soft keeps its y whatever its dist, which may overflow
+        keep = (radius > dist) | (dist == 0.0) | ~soft
+        Y_new = np.where(keep, Y_new, Z + radius * (D / dist))
     X_new, inner, failed = Y_new, None, {}
-    if method != "pgd":
+    if not pgd:
         parts = []
         for start, stop, x_update in solves:
             if isinstance(x_update, _ClosedFormX):
@@ -324,7 +327,7 @@ def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=N
     errors = {}
     # a non-finite x shows in lambda + rho (x - y); pgd's x projects a finite target
     if bad or failed or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
-        target = "projected-gradient" if method == "pgd" else "projection"
+        target = "projected-gradient" if pgd else "projection"
         for i, fy in enumerate(fys):
             exc = DivergenceError(f"non-finite {target} target") if i in bad else failed.get(i)
             if exc is None:
@@ -340,13 +343,13 @@ def _step_lanes(method, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=N
 
 
 def _one_lane(
-    method, f, dset, state: IterateState, rho: float, x_update, masks=None, radius=None
+    f, dset, state: IterateState, rho: float, x_update, masks=None, radius=None, soft=None
 ) -> IterateState:
-    """The lane step at n = 1; a failure raises what a run raises at iteration ``state.r + 1``."""
+    """The ADMM lane step at n = 1; a failure raises what a run raises at ``state.r + 1``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         X, Y, Lam, inner, _, _, errors = _step_lanes(
-            method, f, dset, state.x[None], state.y[None], state.lam[None], rho,
-            [(0, 1, x_update)], masks, radius,
+            False, f, dset, state.x[None], state.y[None], state.lam[None], rho,
+            [(0, 1, x_update)], masks, radius, soft,
         )
     if errors:
         raise errors[0].at(state.r + 1)
@@ -367,7 +370,7 @@ def admm_q_step(
     ``(Q + rho I) x = rho y - lambda - b``.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane("admm-q", f, dset, state, rho, x_update)
+    return _one_lane(f, dset, state, rho, x_update)
 
 
 def iadmm_q_step(
@@ -384,7 +387,7 @@ def iadmm_q_step(
     floor and the trajectory matches the exact method to inner tolerance.
     """
     x_update = x_update or build_x_update(f, rho, gamma=gamma)
-    return _one_lane("iadmm-q", f, dset, state, rho, x_update)
+    return _one_lane(f, dset, state, rho, x_update)
 
 
 def admm_r_step(
@@ -404,7 +407,7 @@ def admm_r_step(
     """
     x_update = x_update or build_x_update(f, rho)
     mask = rng.bernoulli(mask_prob, dset.dim)
-    return _one_lane("admm-r", f, dset, state, rho, x_update, masks=mask)
+    return _one_lane(f, dset, state, rho, x_update, masks=mask)
 
 
 def admm_s_step(
@@ -421,7 +424,7 @@ def admm_s_step(
     projection itself and the step coincides with the exact method.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane("admm-s", f, dset, state, rho, x_update, radius=beta / rho)
+    return _one_lane(f, dset, state, rho, x_update, radius=beta / rho, soft=np.ones((1, 1), bool))
 
 
 def pgd_step(
@@ -430,7 +433,7 @@ def pgd_step(
     """Projected gradient step with step size ``1/rho``."""
     x = np.asarray(x, dtype=float)[None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x_new, *_, errors = _step_lanes("pgd", f, dset, x, x, np.zeros_like(x), rho)
+        x_new, *_, errors = _step_lanes(True, f, dset, x, x, np.zeros_like(x), rho)
     if errors:
         raise errors[0]
     return x_new[0]
@@ -588,16 +591,18 @@ def _key(x, y, lam) -> bytes:
 
 
 class _Lane:
-    """One lane of :func:`run_lanes`: its run's config, stream, x-solver, trace and window.
+    """One lane of :func:`run_lanes`: its run's method, config, stream, x-solver, trace and window.
 
     The lane's iterate is a row of the kernel's arrays.
     """
 
-    __slots__ = ("i", "config", "rng", "updater", "trace", "window", "f_y0", "off", "moved",
-                 "saved", "since", "power", "period", "skip", "rows")
+    __slots__ = ("i", "method", "config", "rng", "updater", "trace", "window", "f_y0", "off",
+                 "moved", "saved", "since", "power", "period", "skip", "rows")
 
-    def __init__(self, i: int, config: SolverConfig, rng: RunRng, updater, f_y0: float, key: bytes):
-        self.i, self.config, self.rng, self.updater, self.f_y0 = i, config, rng, updater, f_y0
+    def __init__(self, i: int, method: str, config: SolverConfig, rng: RunRng, updater,
+                 f_y0: float, key: bytes):
+        self.i, self.method, self.config, self.rng = i, method, config, rng
+        self.updater, self.f_y0 = updater, f_y0
         self.trace = RunTrace()
         self.window = deque([f_y0], maxlen=config.window)  # f(y) of the trailing iterations
         self.off = 0  # the lane's iteration count is t + off; off is the iterations skipped
@@ -622,20 +627,43 @@ def _solver_blocks(lanes) -> list:
     return out
 
 
+def _lane_methods(method, n: int) -> list[str]:
+    """One method name per config: ``method`` repeated, or ``method`` itself as a list."""
+    methods = [method] * n if isinstance(method, str) else list(method)
+    if len(methods) != n:
+        raise ValueError(f"{len(methods)} methods for {n} configs")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
+    alone = {"pgd", "gd-proj"} & set(methods)
+    if alone and len(set(methods)) > 1:
+        raise ValueError(f"{' and '.join(sorted(alone))} cannot share a run_lanes call "
+                         "with other methods")
+    return methods
+
+
 def run_lanes(
-    method: str,
+    method,
     f: SmoothObjective,
     dset: DiscreteProductSet,
     configs,
 ) -> list:
-    """Run ``method`` from every config at once, one lane per config.
+    """Run every config at once, one lane per config.
+
+    ``method`` is one name for every lane, or a list with one name per
+    config. The ADMM methods (admm-q, iadmm-q, admm-r, admm-s) mix freely in
+    one call: each lane takes y by its own method's rule, retires cycles by
+    its rule and records its own Lagrangian. pgd and gd-proj run only with
+    lanes of their own method.
 
     The lanes advance together as the rows of ``(n, d)`` arrays of x, y and
     lambda; each keeps its own rho, beta, mask probability, seed and random
     stream, budget, window and trace stride. Lanes with equal rho share one
-    x-solver: for a quadratic one Cholesky factor, and one triangular solve
-    of all their right-hand sides per iteration. gd-proj has no iteration
-    to share and runs its configs one by one.
+    x-solver, whatever their method, except that iadmm-q's certified descent
+    is shared only among iadmm-q lanes of one gamma: for a quadratic one
+    Cholesky factor, and one triangular solve of all their right-hand sides
+    per iteration. gd-proj has no iteration to share and runs its configs
+    one by one.
 
     Returns, in config order, each lane's :class:`RunResult`, or the
     :class:`SolverError` that ended it. Either is bit for bit what the lane
@@ -647,26 +675,27 @@ def run_lanes(
     between them reaches a power of two. Once the lane repeats with period
     k, one more cycle runs to record its trace rows, whole cycles are
     skipped by advancing that lane's iteration count, and at least
-    ``window`` iterations still run for real.
+    ``window`` iterations still run for real. An admm-r lane whose mask kept
+    an old coordinate of y starts looking afresh, since that step was not a
+    function of the state.
     """
-    if method not in METHODS:
-        raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
     configs = list(configs)
+    methods = _lane_methods(method, len(configs))
     d, w = dset.dim, 8 * dset.dim  # w: bytes per row
-    uses_dual = method != "pgd"
+    pgd = methods[:1] == ["pgd"]
     outcomes: list = [None] * len(configs)
 
     def lagrangian(lane, x, y, lam) -> float:
-        if not uses_dual:
+        if pgd:
             return f.value(x)
         val = augmented_lagrangian(f, x, y, lam, lane.config.rho)
-        if method == "admm-s":
+        if lane.method == "admm-s":
             val += lane.config.beta * dset.soft_indicator(y)
         return val
 
     def finish(lane, state, step_norm, y_stable):
         outcomes[lane.i] = RunResult(
-            method=method,
+            method=lane.method,
             trace=lane.trace,
             state=state,
             best_objective=float(min(lane.window)),
@@ -686,20 +715,20 @@ def run_lanes(
                 begun[i] = initial_state(dset, c, rngs[i])
             except DivergenceError as exc:
                 outcomes[i] = exc
-        if method == "gd-proj":
+        if methods[:1] == ["gd-proj"]:
             for i, s in begun.items():
                 outcomes[i] = _gd_proj(f, dset, configs[i], s)
             return outcomes
         # lanes are ordered by x-solver, so that each solver's lanes form a block
         groups: dict = {}
         for i, c in enumerate(configs):
-            gamma = c.gamma if method == "iadmm-q" else None
+            gamma = c.gamma if methods[i] == "iadmm-q" else None
             groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
         lanes, starts = [], []
         for (rho, gamma, _), members in groups.items():
             try:
-                updater = (build_x_update(f, rho, configs[members[0]].inner, gamma)
-                           if uses_dual else None)
+                updater = (None if pgd else
+                           build_x_update(f, rho, configs[members[0]].inner, gamma))
             except SolverError as exc:
                 for i in members:
                     outcomes[i] = exc
@@ -708,7 +737,8 @@ def run_lanes(
                 if i not in begun:
                     continue
                 s = begun[i]
-                lane = _Lane(i, configs[i], rngs[i], updater, f.value(s.y), _key(s.x, s.y, s.lam))
+                lane = _Lane(i, methods[i], configs[i], rngs[i], updater, f.value(s.y),
+                             _key(s.x, s.y, s.lam))
                 lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
                 if configs[i].max_iters:
                     lanes.append(lane)
@@ -720,16 +750,23 @@ def run_lanes(
                      for k in ("x", "y", "lam"))
         rho = np.array([[lane.config.rho] for lane in lanes])
         radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
-        solves, t = _solver_blocks(lanes), 0
+        soft = np.array([[lane.method == "admm-s"] for lane in lanes])
+        solves, t = None, 0
 
         while lanes:
+            if solves is None:  # the lanes changed: what their rows share
+                solves = _solver_blocks(lanes)
+                masked = [pos for pos, lane in enumerate(lanes) if lane.method == "admm-r"]
+                soft_rows = soft if soft.any() else None
             t += 1
             Xp, Yp, masks = X, Y, None
-            if method == "admm-r":
-                masks = np.array([lane.rng.bernoulli(lane.config.mask_prob, d) for lane in lanes])
+            if masked:
+                masks = np.ones((len(lanes), d), dtype=bool)
+                for pos in masked:
+                    lane = lanes[pos]
+                    masks[pos] = lane.rng.bernoulli(lane.config.mask_prob, d)
             X, Y, Lam, inner, y_hat, fys, errors = _step_lanes(
-                method, f, dset, X, Y, Lam, rho, solves, masks,
-                radius if method == "admm-s" else None,
+                pgd, f, dset, X, Y, Lam, rho, solves, masks, radius, soft_rows
             )
             ended = set(errors)  # lanes that fail or spend their budget at this t
             for pos, exc in errors.items():
@@ -737,7 +774,7 @@ def run_lanes(
 
             # bits of the rows, for the comparisons below
             xb, yb, ypb, yhb = X.tobytes(), None, None, None
-            if method == "admm-r":
+            if masked:
                 yhb, ypb = y_hat.tobytes(), Yp.tobytes()
             for pos, lane in enumerate(lanes):
                 if pos in ended:
@@ -777,7 +814,7 @@ def run_lanes(
                             r += skip
                 if not collecting and lane.saved is not None:
                     gap = t - lane.since
-                    if yhb is not None and yhb[row_bytes] != ypb[row_bytes]:
+                    if lane.method == "admm-r" and yhb[row_bytes] != ypb[row_bytes]:
                         # the mask decided y; the step was not a function of the state
                         lane.saved, lane.since, lane.power = _key(X[pos], Y[pos], Lam[pos]), t, 1
                     elif lane.saved.startswith(xb[row_bytes]) and lane.saved == _key(
@@ -798,7 +835,6 @@ def run_lanes(
                     ended.add(pos)
             if ended:
                 keep = [p for p in range(len(lanes)) if p not in ended]
-                X, Y, Lam, rho, radius = (a[keep] for a in (X, Y, Lam, rho, radius))
-                lanes = [lanes[p] for p in keep]
-                solves = _solver_blocks(lanes)
+                X, Y, Lam, rho, radius, soft = (a[keep] for a in (X, Y, Lam, rho, radius, soft))
+                lanes, solves = [lanes[p] for p in keep], None
     return outcomes

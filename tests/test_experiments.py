@@ -1,5 +1,8 @@
+import io
 import json
 import math
+import os
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -294,8 +297,69 @@ def assert_records_fresh(res, instance, protocol):
         assert (repr(rec.best_objective), rec.diverged) == (repr(best), diverged), rec
 
 
+@pytest.fixture
+def fake_pool(monkeypatch) -> list:
+    """Run the sweep's pool in this process; the list collects each pool's worker count."""
+    started = []
+
+    class InProcessPool:
+        def __init__(self, max_workers, initializer, initargs):
+            assert (initializer, initargs) == (experiments._share_cores, (max_workers,))
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", InProcessPool)
+    return started
+
+
+def openblas_threads() -> list:
+    """The thread count of each OpenBLAS this process has loaded."""
+    return [get() for get in experiments._openblas("get_num_threads")]
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+def test_pool_workers_share_the_cores():
+    cores = len(os.sched_getaffinity(0))
+    if not openblas_threads():
+        pytest.skip("no OpenBLAS loaded")
+    for workers, threads in ((cores, 1), (1, cores)):
+        with ProcessPoolExecutor(1, initializer=experiments._share_cores,
+                                 initargs=(workers,)) as pool:
+            counts = pool.submit(openblas_threads).result(timeout=60)
+        assert counts and set(counts) == {threads}
+
+
+def test_openblas_scan_reads_paths_with_spaces(monkeypatch):
+    maps = [
+        "7f0000000000-7f0000001000 r-xp 00000000 08:01 42     /opt/a b/libopenblas.so.0\n",
+        "7f0000001000-7f0000002000 r-xp 00000000 08:01 43     /opt/old/libopenblas.so (deleted)\n",
+        "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n",
+        "7f0000003000-7f0000004000 r-xp 00000000 08:01 44     /usr/lib/libm.so.6\n",
+    ]
+    loaded = []
+
+    def cannot_load(path):
+        loaded.append(path)
+        raise OSError(f"{path}: cannot open shared object file")
+
+    monkeypatch.setattr(experiments, "open", lambda path: io.StringIO("".join(maps)),
+                        raising=False)
+    monkeypatch.setattr(experiments.ctypes, "CDLL", cannot_load)
+    assert experiments._openblas("set_num_threads") == []
+    assert loaded == ["/opt/a b/libopenblas.so.0"]  # the deleted file is not loaded
+    experiments._share_cores(2)  # leaves the threads as they are, and raises nothing
+
+
 class TestLaneSweep:
-    """Each algorithm's grid points and inits run as the lanes of one kernel call."""
+    """Grid points and inits run as kernel lanes: the ADMM family's together, the rest by method."""
 
     def test_records_equal_single_runs(self):
         inst = generate_instance(InstanceSpec(d=4, sigma_q_sq=30.0, seed=10))
@@ -349,15 +413,16 @@ class TestLaneSweep:
 
     @staticmethod
     def spy_lanes(monkeypatch) -> list:
-        """Wrap the sweep's ``run_lanes``; the list collects (method, config) per lane."""
-        lanes = []
+        """Wrap the sweep's ``run_lanes``; the list collects each call's (method, config) pairs."""
+        calls = []
 
         def spy(method, f, dset, configs):
-            lanes.extend((method, c) for c in configs)
+            methods = [method] * len(configs) if isinstance(method, str) else method
+            calls.append(list(zip(methods, configs, strict=True)))
             return run_lanes(method, f, dset, configs)
 
         monkeypatch.setattr(experiments, "run_lanes", spy)
-        return lanes
+        return calls
 
     @pytest.mark.parametrize(
         "algorithms", [["admm-s", "admm-q"], ["admm-s"], ["admm-q", "admm-s"]]
@@ -367,27 +432,68 @@ class TestLaneSweep:
         radius = inst.dset.covering_radius()  # 4 sqrt(3)
         # beta 1 never reaches the radius; beta 1e4 does at every rho
         protocol = tiny_protocol(rho_grid=(0.5, 5.0, 500.0), beta_grid=(1.0, 30.0, 1e4))
-        lanes = self.spy_lanes(monkeypatch)
+        calls = self.spy_lanes(monkeypatch)
         run_protocol(inst, algorithms, protocol, max_workers=1)
+        lanes = [lane for call in calls for lane in call]
         soft = [c for method, c in lanes if method == "admm-s"]
         assert soft and all(c.beta / c.rho <= radius for c in soft)
         inits = [init_seed(protocol, inst, i) for i in range(protocol.n_inits)]
         assert [(c.rho, c.seed) for method, c in lanes if method == "admm-q"] == [
             (rho, seed) for rho in protocol.rho_grid for seed in inits
         ]
+        assert len(calls) == 1  # the ADMM family shares one kernel call
 
-    def test_lanes_are_each_grid_times_inits_in_order(self, monkeypatch):
-        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
-        protocol = tiny_protocol(gamma=0.5)
-        algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
-        lanes = self.spy_lanes(monkeypatch)
-        run_protocol(inst, algorithms, protocol, max_workers=1)
-        assert lanes == [
+    @staticmethod
+    def planned_lanes(inst, protocol, algorithms) -> list:
+        """(method, config) of every lane the sweep needs, in plan order."""
+        return [
             (alg, _make_config(alg, hyper, protocol, init_seed(protocol, inst, i)))
             for alg in algorithms
             for hyper in protocol.grid_for(alg)
             for i in range(protocol.n_inits)
         ]
+
+    def test_lanes_are_each_grid_times_inits_in_order(self, monkeypatch):
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+        protocol = tiny_protocol(gamma=0.5)
+        algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
+        calls = self.spy_lanes(monkeypatch)
+        run_protocol(inst, algorithms, protocol, max_workers=1)
+        # one kernel call for the ADMM family, then pgd's and gd-proj's
+        family = ["admm-r", "admm-q", "iadmm-q"]
+        assert calls == [
+            self.planned_lanes(inst, protocol, family),
+            self.planned_lanes(inst, protocol, ["pgd"]),
+            self.planned_lanes(inst, protocol, ["gd-proj"]),
+        ]
+
+    @pytest.mark.parametrize("max_workers", [2, 3])
+    def test_lanes_are_dealt_round_robin(self, monkeypatch, fake_pool, max_workers):
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+        protocol = tiny_protocol(gamma=0.5)
+        algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
+        calls = self.spy_lanes(monkeypatch)
+        run_protocol(inst, algorithms, protocol, max_workers=max_workers)
+        k = max_workers
+        family = self.planned_lanes(inst, protocol, ["admm-r", "admm-q", "iadmm-q"])
+        pgd = self.planned_lanes(inst, protocol, ["pgd"])
+        gd_proj = self.planned_lanes(inst, protocol, ["gd-proj"])  # n_inits = 3 lanes
+        assert calls == [lanes[j::k] for lanes in (family, pgd, gd_proj) for j in range(k)]
+        assert fake_pool == [k]
+
+    @pytest.mark.parametrize("algorithms, n_inits, max_workers, started", [
+        (["gd-proj"], 1, 4, []),  # one task runs in this process
+        (["admm-q", "gd-proj"], 1, 4, [2]),
+        (["admm-q", "admm-s"], 3, 4, [4]),
+        (["admm-q", "admm-s"], 3, 1, []),
+    ])
+    def test_pool_starts_one_worker_per_task(self, fake_pool, algorithms, n_inits,
+                                             max_workers, started):
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+        protocol = tiny_protocol(n_inits=n_inits, rho_grid=(5.0,))
+        res = run_protocol(inst, algorithms, protocol, max_workers=max_workers)
+        assert fake_pool == started
+        assert_records_fresh(res, inst, protocol)
 
     def test_binary_sets_equal_fresh_runs(self):
         inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=13))

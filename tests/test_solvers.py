@@ -696,11 +696,16 @@ def assert_same_outcome(got, want):
 
 
 def lane_kinds(method, f, dset, configs):
-    """Run the configs as lanes, check each against a run of its own; the outcome kinds."""
+    """Run the configs as lanes, check each against a run of its own; the outcome kinds.
+
+    ``method`` is one name, or a list of one name per config.
+    """
     kinds = set()
-    for config, got in zip(configs, run_lanes(method, f, dset, configs), strict=True):
+    methods = [method] * len(configs) if isinstance(method, str) else method
+    outcomes = run_lanes(method, f, dset, configs)
+    for m, config, got in zip(methods, configs, outcomes, strict=True):
         try:
-            want = run(method, f, dset, config)
+            want = run(m, f, dset, config)
         except SolverError as exc:
             want = exc
         assert_same_outcome(got, want)
@@ -711,29 +716,37 @@ def lane_kinds(method, f, dset, configs):
     return kinds
 
 
+ADMM_METHODS = ("admm-q", "iadmm-q", "admm-r", "admm-s")
+
+
+def variant_configs(method) -> list:
+    """Lanes that diverge, fail, freeze, cycle or spend their budget, for ``method``."""
+    base = SolverConfig(
+        rho=40.0, max_iters=200, window=20, seed=3, mask_prob=0.8, beta=0.5,
+        gamma=0.5 if method == "iadmm-q" else 0.0, init_scale=3.0, trace_stride=7,
+    )
+    variants = [
+        dict(rho=0.9),  # below L_f: diverges
+        dict(rho=0.9, mask_prob=1.0, seed=5),
+        dict(rho=0.5),  # below mu: no x-update
+        dict(),  # above L_f: frozen
+        dict(beta=1e4, seed=6),  # admm-s on the projection
+        dict(max_iters=5),
+        dict(init_scale=1e308),  # a start near the double limit
+        dict(init_scale=1e308, seed=1),  # the start overflows
+        dict(rho=2.0, seed=4, window=1, trace_stride=1),
+        dict(rho=1.2, seed=7),
+        dict(inner=InnerSolverConfig(max_inner_iters=1)),
+    ]
+    return [dataclasses.replace(base, **v) for v in variants]
+
+
 class TestRunLanes:
     """Lanes of one ``run_lanes`` call give, bit for bit, what each gives alone."""
 
-    @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s"])
+    @pytest.mark.parametrize("method", ADMM_METHODS)
     def test_mixed_lanes_match_single_runs(self, method):
-        base = SolverConfig(
-            rho=40.0, max_iters=200, window=20, seed=3, mask_prob=0.8, beta=0.5,
-            gamma=0.5 if method == "iadmm-q" else 0.0, init_scale=3.0, trace_stride=7,
-        )
-        variants = [
-            dict(rho=0.9),  # below L_f: diverges
-            dict(rho=0.9, mask_prob=1.0, seed=5),
-            dict(rho=0.5),  # below mu: no x-update
-            dict(),  # above L_f: frozen
-            dict(beta=1e4, seed=6),  # admm-s on the projection
-            dict(max_iters=5),
-            dict(init_scale=1e308),  # a start near the double limit
-            dict(init_scale=1e308, seed=1),  # the start overflows
-            dict(rho=2.0, seed=4, window=1, trace_stride=1),
-            dict(rho=1.2, seed=7),
-            dict(inner=InnerSolverConfig(max_inner_iters=1)),
-        ]
-        configs = [dataclasses.replace(base, **v) for v in variants]
+        configs = variant_configs(method)
         kinds = lane_kinds(method, INDEFINITE, uniform_lattice(3, 1.0), configs)
         # gradient-descent x-updates for every method, one of them starved
         kinds |= lane_kinds(method, _GradientOnly(INDEFINITE), uniform_lattice(3, 1.0), configs[-3:])
@@ -741,6 +754,28 @@ class TestRunLanes:
         if method != "iadmm-q":
             expected |= {"diverged", "cycle"}
         assert expected <= kinds
+
+    def test_mixed_methods_match_single_runs(self):
+        # every ADMM method's lanes in one call, interleaved, so that lanes of
+        # different methods share rows, x-solvers and steps
+        pairs = [(m, c) for m in ADMM_METHODS for c in variant_configs(m)]
+        pairs = [pairs[j] for j in np.random.default_rng(0).permutation(len(pairs))]
+        methods, configs = [m for m, _ in pairs], [c for _, c in pairs]
+        kinds = lane_kinds(methods, INDEFINITE, uniform_lattice(3, 1.0), configs)
+        kinds |= lane_kinds(methods, _GradientOnly(INDEFINITE), uniform_lattice(3, 1.0), configs)
+        assert {"budget", "cycle", "inner", "diverged", "rejected"} <= kinds
+        # dist(z, set) overflows to inf: only the admm-s lane may read it
+        f = QuadraticObjective(Q=np.eye(2), b=[1e200, -1e200])
+        config = SolverConfig(rho=1.0, seed=1, max_iters=5)
+        lane_kinds(list(ADMM_METHODS), f, binary_set(2), [config] * 4)
+        assert run("admm-q", f, binary_set(2), config).best_objective == -2e200
+
+    def test_pgd_and_gd_proj_run_alone(self):
+        for methods in (["admm-q", "pgd"], ["gd-proj", "admm-s"], ["pgd", "gd-proj"]):
+            with pytest.raises(ValueError, match="cannot share"):
+                run_lanes(methods, D16.objective, D16.dset, [SolverConfig()] * 2)
+        with pytest.raises(ValueError, match="2 methods for 1 configs"):
+            run_lanes(["admm-q", "admm-s"], D16.objective, D16.dset, [SolverConfig()])
 
     @pytest.mark.parametrize("method", ["admm-q", "iadmm-q", "admm-r", "admm-s", "pgd"])
     def test_lanes_sharing_rho_share_one_solve(self, method):

@@ -215,9 +215,9 @@ def cmd_sweep(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ValueError("--algorithms names no algorithm")
-    for alg in algorithms:
-        if alg not in METHODS:
-            raise ValueError(f"unknown algorithm {alg!r}")
+    for i, alg in enumerate(algorithms):
+        if alg not in METHODS or alg in algorithms[:i]:
+            raise ValueError(f"{'repeated' if alg in METHODS else 'unknown'} algorithm {alg!r}")
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

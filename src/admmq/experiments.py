@@ -250,7 +250,10 @@ def _hyper_key(hyper: dict) -> str:
 
 
 def _execute_task(task) -> list[RunRecord]:
-    """Run a block of (algorithm, grid point, init) lanes; a ``SolverError`` marks one diverged."""
+    """Run a block of lanes, of any methods, in one ``run_lanes`` call.
+
+    A lane is an (algorithm, grid point, init); a ``SolverError`` marks it diverged.
+    """
     instance, lanes, protocol = task
     configs = [
         _make_config(algorithm, hyper, protocol, init_seed(protocol, instance, init_index))
@@ -432,16 +435,13 @@ def run_protocol(
     lands on the projection, so the point takes admm-q's records at the same
     rho, and admm-q runs even when the sweep does not include it.
 
-    The runs are the lanes of :func:`~admmq.solvers.run_lanes` calls. The
-    ADMM family (admm-q, iadmm-q, admm-r, admm-s) shares calls: its n runs,
-    in plan order, are dealt round-robin into ``min(max_workers, n)``
-    blocks, so that each block mixes the methods and grid points and the
-    blocks take about equally long. pgd's runs and gd-proj's, in grid order,
-    are each dealt the same way into blocks of their own. With more
-    than one block the blocks go to a process pool of one worker per block,
-    up to ``max_workers``, whose OpenBLAS threads share the cores; records
-    are read back by (algorithm, grid point, init), so results do not
-    depend on scheduling.
+    The runs are the lanes of :func:`~admmq.solvers.run_lanes` calls. All n
+    runs, in plan order, are dealt round-robin into ``min(max_workers, n)``
+    blocks, one call each, so that each block mixes the methods and grid
+    points and the blocks take about equally long. With more than one block
+    the blocks go to a process pool of one worker per block, whose OpenBLAS
+    threads share the cores; records are read back by (algorithm, grid
+    point, init), so results do not depend on scheduling.
     """
     # a hair above the radius, so that rounding in a distance cannot reach it
     reach = instance.dset.covering_radius() * (1.0 + 1e-9)
@@ -454,23 +454,15 @@ def run_protocol(
             plan.append((alg, _hyper_key(hyper), src, _hyper_key(src_hyper)))
 
     wanted = {(src, key) for _, _, src, key in plan}
-    runs = {  # each source algorithm's runs, in grid order
-        src: [
-            (src, hyper, init_index)
-            for hyper in protocol.grid_for(src)
-            if (src, _hyper_key(hyper)) in wanted
-            for init_index in range(protocol.n_inits)
-        ]
+    runs = [  # every run the plan needs, in plan order
+        (src, hyper, init_index)
         for src in dict.fromkeys(src for _, _, src, _ in plan)
-    }
-    alone = [src for src in runs if src in ("pgd", "gd-proj")]
-    family = [lane for src, lanes in runs.items() if src not in alone for lane in lanes]
-    tasks = [
-        (instance, block, protocol)
-        for lanes in [family] + [runs[src] for src in alone]
-        for block in _deal(lanes, max_workers)
+        for hyper in protocol.grid_for(src)
+        if (src, _hyper_key(hyper)) in wanted
+        for init_index in range(protocol.n_inits)
     ]
-    workers = min(max_workers, len(tasks))
+    tasks = [(instance, block, protocol) for block in _deal(runs, max_workers)]
+    workers = len(tasks)  # at most max_workers
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
             outputs = list(pool.map(_execute_task, tasks, chunksize=1))

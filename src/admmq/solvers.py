@@ -15,15 +15,16 @@ Six methods share one driver:
   quadratics) followed by a single projection.
 
 The four ADMM methods share one iteration and differ only in how y is
-taken from the projection and in the accuracy of the x-solve. That iteration
-and pgd's step are written once, as one step of a batch of independent runs
-(lanes) held as rows of ``(n, d)`` arrays, which alone decides how a lane
-failed. One batch may mix the four ADMM methods, since each lane carries
-its own method and so its own y-rule; pgd's lanes run in a batch of their
-own. ``run_lanes`` drives a batch and ``run`` a single run;
-both record a :class:`RunTrace` and the best objective over a trailing
-window, and stop a run early once its iterate cycles exactly. Each method is
-also available as a single-step transition function.
+taken from the projection and in the accuracy of the x-solve; pgd is that
+iteration with a gradient step for a target and no x-solve. It is written
+once, as one step of a batch of independent runs (lanes) held as rows of
+``(n, d)`` arrays, which alone decides how a lane failed. One batch may mix
+all six methods, since each lane carries its own method and so its own
+y-rule; gd-proj's lanes do not iterate. ``run_lanes`` drives a batch and
+``run`` a single run; both record a :class:`RunTrace` and the best
+objective over a trailing window, and stop a run early once its iterate
+cycles exactly. Each method is also available as a single-step transition
+function.
 """
 
 from __future__ import annotations
@@ -274,19 +275,19 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _step_lanes(pgd, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None, soft=None):
+def _step_lanes(f, dset, X, Y, Lam, rho, solves, masks=None, radius=None, soft=None):
     """One iteration for every lane; rows of the arrays are lanes.
 
-    With ``pgd`` every lane takes the projected gradient step. Otherwise each
-    lane takes the ADMM iteration: it projects its target ``z = x +
-    lambda/rho`` and takes y from the projection, where its row of ``masks``
-    is True, with the old y kept elsewhere (admm-r's mask; the other methods'
+    ``solves`` lists ``(start, stop, x_update)`` for each block of lanes that
+    shares an x-solver; a last block whose ``x_update`` is None holds pgd's
+    lanes. Each lane projects its target, ``z = x + lambda/rho`` or pgd's
+    ``x - grad f(x)/rho``, and takes y from the projection where its row of
+    ``masks`` is True, with the old y kept elsewhere (admm-r's mask; other
     rows are all True), or, on a True row of the boolean column ``soft``,
     moved from z toward it by at most ``radius`` (admm-s; None: no row is
-    soft). Then it minimizes the Lagrangian in x and ascends lambda. ``rho``
-    and ``radius`` are numbers or columns with one entry per lane, and
-    ``solves`` lists ``(start, stop, x_update)`` for each block of lanes
-    that shares an x-solver.
+    soft). Then it minimizes the Lagrangian in x (pgd: x = y) and ascends
+    lambda, which for pgd stays 0. ``rho`` and ``radius`` are numbers or
+    columns with one entry per lane; with a pgd block ``rho`` is a column.
 
     Returns the new X, Y and Lam, the inner steps per lane (None when every
     solve is direct), the projection, f of each row of Y, and ``{lane:
@@ -294,7 +295,11 @@ def _step_lanes(pgd, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None
     x-solver's error, else a non-finite x, lambda or objective. An error
     here names no iteration; the caller knows it.
     """
-    Z = X - f.gradient_rows(X) / rho if pgd else X + Lam / rho
+    Z = X + Lam / rho
+    start, stop, x_update = solves[-1]
+    pgd = range(start, stop) if x_update is None else range(0)
+    if pgd:
+        Z[start:stop] = X[start:stop] - f.gradient_rows(X[start:stop]) / rho[start:stop]
     bad = [] if math.isfinite(Z.sum()) else np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist()
     Z_proj = dset.project_many(Z)
     Y_new = Z_proj if masks is None else np.where(masks, Z_proj, Y)
@@ -305,13 +310,13 @@ def _step_lanes(pgd, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None
         # a row that is not soft keeps its y whatever its dist, which may overflow
         keep = (radius > dist) | (dist == 0.0) | ~soft
         Y_new = np.where(keep, Y_new, Z + radius * (D / dist))
-    X_new, inner, failed = Y_new, None, {}
-    if not pgd:
-        parts = []
-        for start, stop, x_update in solves:
-            if isinstance(x_update, _ClosedFormX):
-                parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
-                continue
+    inner, failed, parts = None, {}, []
+    for start, stop, x_update in solves:
+        if x_update is None:
+            parts.append(Y_new[start:stop])
+        elif isinstance(x_update, _ClosedFormX):
+            parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
+        else:
             block = np.empty((stop - start, X.shape[1]))
             inner = np.zeros(len(X), dtype=int) if inner is None else inner
             for i in range(start, stop):
@@ -321,14 +326,14 @@ def _step_lanes(pgd, f, dset, X, Y, Lam, rho, solves=(), masks=None, radius=None
                     except SolverError as exc:
                         failed[i] = exc
             parts.append(block)
-        X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
-        Lam = Lam + rho * (X_new - Y_new)
+    X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    Lam = Lam + rho * (X_new - Y_new)
     fys = f.value_rows(Y_new)
     errors = {}
-    # a non-finite x shows in lambda + rho (x - y); pgd's x projects a finite target
+    # a non-finite x shows in lambda + rho (x - y)
     if bad or failed or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
-        target = "projected-gradient" if pgd else "projection"
         for i, fy in enumerate(fys):
+            target = "projected-gradient" if i in pgd else "projection"
             exc = DivergenceError(f"non-finite {target} target") if i in bad else failed.get(i)
             if exc is None:
                 for what, ok in (("x", np.isfinite(X_new[i]).all()),
@@ -348,7 +353,7 @@ def _one_lane(
     """The ADMM lane step at n = 1; a failure raises what a run raises at ``state.r + 1``."""
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         X, Y, Lam, inner, _, _, errors = _step_lanes(
-            False, f, dset, state.x[None], state.y[None], state.lam[None], rho,
+            f, dset, state.x[None], state.y[None], state.lam[None], rho,
             [(0, 1, x_update)], masks, radius, soft,
         )
     if errors:
@@ -433,7 +438,9 @@ def pgd_step(
     """Projected gradient step with step size ``1/rho``."""
     x = np.asarray(x, dtype=float)[None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        x_new, *_, errors = _step_lanes(True, f, dset, x, x, np.zeros_like(x), rho)
+        x_new, *_, errors = _step_lanes(
+            f, dset, x, x, np.zeros_like(x), np.full((1, 1), float(rho)), [(0, 1, None)]
+        )
     if errors:
         raise errors[0]
     return x_new[0]
@@ -618,7 +625,7 @@ class _Lane:
 
 
 def _solver_blocks(lanes) -> list:
-    """``(start, stop, x_update)`` for each run of adjacent lanes that share an x-solver."""
+    """``(start, stop, x_update)`` for each run of adjacent lanes sharing an x-solver, or none."""
     out, start = [], 0
     for updater, members in itertools.groupby(lanes, key=lambda lane: lane.updater):
         stop = start + len(list(members))
@@ -635,10 +642,6 @@ def _lane_methods(method, n: int) -> list[str]:
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {METHODS}")
-    alone = {"pgd", "gd-proj"} & set(methods)
-    if alone and len(set(methods)) > 1:
-        raise ValueError(f"{' and '.join(sorted(alone))} cannot share a run_lanes call "
-                         "with other methods")
     return methods
 
 
@@ -651,19 +654,19 @@ def run_lanes(
     """Run every config at once, one lane per config.
 
     ``method`` is one name for every lane, or a list with one name per
-    config. The ADMM methods (admm-q, iadmm-q, admm-r, admm-s) mix freely in
-    one call: each lane takes y by its own method's rule, retires cycles by
-    its rule and records its own Lagrangian. pgd and gd-proj run only with
-    lanes of their own method.
+    config; the six methods mix freely in one call. Each lane takes y by
+    its own method's rule, retires cycles by its rule and records its own
+    Lagrangian (pgd's: f(x)). gd-proj has no iteration to share, so its
+    lanes run one by one before the first step.
 
-    The lanes advance together as the rows of ``(n, d)`` arrays of x, y and
-    lambda; each keeps its own rho, beta, mask probability, seed and random
-    stream, budget, window and trace stride. Lanes with equal rho share one
-    x-solver, whatever their method, except that iadmm-q's certified descent
-    is shared only among iadmm-q lanes of one gamma: for a quadratic one
-    Cholesky factor, and one triangular solve of all their right-hand sides
-    per iteration. gd-proj has no iteration to share and runs its configs
-    one by one.
+    The iterating lanes advance together as the rows of ``(n, d)`` arrays of
+    x, y and lambda; each keeps its own rho, beta, mask probability, seed
+    and random stream, budget, window and trace stride. Lanes with equal rho
+    share one x-solver, whatever their ADMM method, except that iadmm-q's
+    certified descent is shared only among iadmm-q lanes of one gamma: for a
+    quadratic one Cholesky factor, and one triangular solve of all their
+    right-hand sides per iteration. pgd's lanes have no x-solver and take
+    the last rows.
 
     Returns, in config order, each lane's :class:`RunResult`, or the
     :class:`SolverError` that ended it. Either is bit for bit what the lane
@@ -682,11 +685,10 @@ def run_lanes(
     configs = list(configs)
     methods = _lane_methods(method, len(configs))
     d, w = dset.dim, 8 * dset.dim  # w: bytes per row
-    pgd = methods[:1] == ["pgd"]
     outcomes: list = [None] * len(configs)
 
     def lagrangian(lane, x, y, lam) -> float:
-        if pgd:
+        if lane.method == "pgd":
             return f.value(x)
         val = augmented_lagrangian(f, x, y, lam, lane.config.rho)
         if lane.method == "admm-s":
@@ -715,20 +717,22 @@ def run_lanes(
                 begun[i] = initial_state(dset, c, rngs[i])
             except DivergenceError as exc:
                 outcomes[i] = exc
-        if methods[:1] == ["gd-proj"]:
-            for i, s in begun.items():
-                outcomes[i] = _gd_proj(f, dset, configs[i], s)
-            return outcomes
-        # lanes are ordered by x-solver, so that each solver's lanes form a block
+        # lanes are ordered by x-solver, so that each solver's lanes form a
+        # block; pgd's lanes (key None: no x-solver) come last
         groups: dict = {}
         for i, c in enumerate(configs):
+            if methods[i] == "gd-proj":
+                if i in begun:
+                    outcomes[i] = _gd_proj(f, dset, c, begun[i])
+                continue
             gamma = c.gamma if methods[i] == "iadmm-q" else None
-            groups.setdefault((c.rho, gamma, dataclasses.astuple(c.inner)), []).append(i)
+            key = None if methods[i] == "pgd" else (c.rho, gamma, dataclasses.astuple(c.inner))
+            groups.setdefault(key, []).append(i)
         lanes, starts = [], []
-        for (rho, gamma, _), members in groups.items():
+        for key, members in sorted(groups.items(), key=lambda group: group[0] is None):
             try:
-                updater = (None if pgd else
-                           build_x_update(f, rho, configs[members[0]].inner, gamma))
+                updater = (None if key is None else
+                           build_x_update(f, key[0], configs[members[0]].inner, key[1]))
             except SolverError as exc:
                 for i in members:
                     outcomes[i] = exc
@@ -766,7 +770,7 @@ def run_lanes(
                     lane = lanes[pos]
                     masks[pos] = lane.rng.bernoulli(lane.config.mask_prob, d)
             X, Y, Lam, inner, y_hat, fys, errors = _step_lanes(
-                pgd, f, dset, X, Y, Lam, rho, solves, masks, radius, soft_rows
+                f, dset, X, Y, Lam, rho, solves, masks, radius, soft_rows
             )
             ended = set(errors)  # lanes that fail or spend their budget at this t
             for pos, exc in errors.items():

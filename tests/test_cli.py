@@ -536,6 +536,16 @@ class TestSweep:
         )
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithms", ["admm-q,admm-q", "pgd,admm-s, pgd"])
+    def test_repeated_algorithm_is_usage_error(self, tmp_path, capsys, algorithms):
+        out = tmp_path / "out"
+        argv = ["sweep", "--generate", "1", "--d", "3", "--seed", "1",
+                "--algorithms", algorithms, "--out", str(out)]
+        assert main(argv) == 2
+        repeated = algorithms.split(",")[0]
+        assert capsys.readouterr() == ("", f"error: repeated algorithm {repeated!r}\n")
+        assert not out.exists()
+
 
 @pytest.mark.parametrize(
     "argv",

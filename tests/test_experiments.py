@@ -359,7 +359,7 @@ def test_openblas_scan_reads_paths_with_spaces(monkeypatch):
 
 
 class TestLaneSweep:
-    """Grid points and inits run as kernel lanes: the ADMM family's together, the rest by method."""
+    """Grid points and inits of every method run as the lanes of one kernel call per block."""
 
     def test_records_equal_single_runs(self):
         inst = generate_instance(InstanceSpec(d=4, sigma_q_sq=30.0, seed=10))
@@ -441,7 +441,7 @@ class TestLaneSweep:
         assert [(c.rho, c.seed) for method, c in lanes if method == "admm-q"] == [
             (rho, seed) for rho in protocol.rho_grid for seed in inits
         ]
-        assert len(calls) == 1  # the ADMM family shares one kernel call
+        assert len(calls) == 1  # one block, one kernel call
 
     @staticmethod
     def planned_lanes(inst, protocol, algorithms) -> list:
@@ -459,13 +459,8 @@ class TestLaneSweep:
         algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
         calls = self.spy_lanes(monkeypatch)
         run_protocol(inst, algorithms, protocol, max_workers=1)
-        # one kernel call for the ADMM family, then pgd's and gd-proj's
-        family = ["admm-r", "admm-q", "iadmm-q"]
-        assert calls == [
-            self.planned_lanes(inst, protocol, family),
-            self.planned_lanes(inst, protocol, ["pgd"]),
-            self.planned_lanes(inst, protocol, ["gd-proj"]),
-        ]
+        # one kernel call for every method's lanes
+        assert calls == [self.planned_lanes(inst, protocol, algorithms)]
 
     @pytest.mark.parametrize("max_workers", [2, 3])
     def test_lanes_are_dealt_round_robin(self, monkeypatch, fake_pool, max_workers):
@@ -475,10 +470,8 @@ class TestLaneSweep:
         calls = self.spy_lanes(monkeypatch)
         run_protocol(inst, algorithms, protocol, max_workers=max_workers)
         k = max_workers
-        family = self.planned_lanes(inst, protocol, ["admm-r", "admm-q", "iadmm-q"])
-        pgd = self.planned_lanes(inst, protocol, ["pgd"])
-        gd_proj = self.planned_lanes(inst, protocol, ["gd-proj"])  # n_inits = 3 lanes
-        assert calls == [lanes[j::k] for lanes in (family, pgd, gd_proj) for j in range(k)]
+        lanes = self.planned_lanes(inst, protocol, algorithms)
+        assert calls == [lanes[j::k] for j in range(k)]
         assert fake_pool == [k]
 
     @pytest.mark.parametrize("algorithms, n_inits, max_workers, started", [

@@ -30,6 +30,7 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 65536
+_GAP_ROWS = 8192
 
 
 @dataclass
@@ -87,25 +88,71 @@ def is_rho_stationary(
     )
 
 
+def _chunk_ranges(dset: DiscreteProductSet):
+    """``[start, stop)`` of each ``_EVAL_CHUNK``-row block of the set's members.
+
+    An unbounded set has infinite cardinality and gives one range, which
+    ``enumerate_members`` rejects like a set over the limit.
+    """
+    total = dset.cardinality()
+    start = 0
+    while start < total:
+        stop = min(start + _EVAL_CHUNK, total)
+        yield start, stop
+        start = stop
+
+
 def brute_force_minimize(
     f: SmoothObjective, dset: DiscreteProductSet, limit: int = 10_000_000
 ) -> tuple[np.ndarray, float]:
     """Exact global minimum by sweeping every member of the set.
 
     Ties resolve to the lexicographically smallest member (enumeration order).
+    Members are built and scored ``_EVAL_CHUNK`` rows at a time, so memory is
+    O(chunk * dim), and the result is that of scoring every member at once.
+    A NaN objective value raises ValueError naming the first such member.
     """
-    members = dset.enumerate_members(limit)
-    best_val = math.inf
-    best_idx = -1
-    for start in range(0, members.shape[0], _EVAL_CHUNK):
-        chunk = members[start : start + _EVAL_CHUNK]
-        vals = f.value_many(chunk)
+    best, best_val = None, math.inf
+    for start, stop in _chunk_ranges(dset):
+        chunk = dset.enumerate_members(limit, start, stop)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
+            vals = f.value_many(chunk)
+        nan = np.isnan(vals)
+        if nan.any():
+            i = int(np.argmax(nan))
+            raise ValueError(f"objective is NaN at member {chunk[i].tolist()} (row {start + i})")
         i = int(np.argmin(vals))
         # strict < keeps the first (lexicographically smallest) minimizer
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_idx = start + i
-    return members[best_idx].copy(), best_val
+        if best is None or vals[i] < best_val:
+            best, best_val = chunk[i].copy(), float(vals[i])
+    return best, best_val
+
+
+def _stationary_rows(
+    f: SmoothObjective, dset: DiscreteProductSet, chunk: np.ndarray, rho: float, tol: float
+) -> np.ndarray:
+    """The rho-stationary rows of ``chunk``.
+
+    The projection and the gap test act row by row, so they take
+    ``_GAP_ROWS`` rows at a time, in place, with temporaries that stay in
+    cache; the blocking does not change a bit.
+    """
+    targets = f.gradient_many(chunk) / rho
+    np.subtract(chunk, targets, out=targets)
+    stationary = np.empty(len(chunk), dtype=bool)
+    for a in range(0, len(chunk), _GAP_ROWS):
+        x, t, ok = (arr[a : a + _GAP_ROWS] for arr in (chunk, targets, stationary))
+        gaps = dset.project_many(t)  # the nearest members, then the gaps
+        np.subtract(gaps, t, out=gaps)
+        np.abs(gaps, out=gaps)
+        np.subtract(x, t, out=t)
+        np.abs(t, out=t)
+        np.subtract(t, gaps, out=gaps)
+        # every column at most tol; a NaN gap fails its test
+        np.less_equal(gaps[:, 0], tol, out=ok)
+        for j in range(1, dset.dim):
+            ok &= gaps[:, j] <= tol
+    return chunk[stationary]
 
 
 def enumerate_stationary_points(
@@ -115,17 +162,18 @@ def enumerate_stationary_points(
     tol: float = 1e-9,
     limit: int = 10_000_000,
 ) -> np.ndarray:
-    """All members that are rho-stationary, as an (n, dim) array."""
+    """All members that are rho-stationary, as an (n, dim) array in enumeration order.
+
+    Members are built and checked ``_EVAL_CHUNK`` rows at a time, so memory
+    is O(chunk * dim) beyond the result, and the result is that of checking
+    every member at once.
+    """
     _check_rho_tol(rho, tol)
-    members = dset.enumerate_members(limit)
-    keep = []
-    for start in range(0, members.shape[0], _EVAL_CHUNK):
-        chunk = members[start : start + _EVAL_CHUNK]
-        targets = chunk - f.gradient_many(chunk) / rho
-        nearest = dset.project_many(targets)
-        gaps = np.abs(chunk - targets) - np.abs(nearest - targets)
-        keep.append(chunk[np.max(gaps, axis=1) <= tol])
-    return np.vstack(keep) if keep else np.empty((0, dset.dim))
+    keep = [
+        _stationary_rows(f, dset, dset.enumerate_members(limit, start, stop), rho, tol)
+        for start, stop in _chunk_ranges(dset)
+    ]
+    return np.vstack(keep)  # a set has at least one member, so one chunk
 
 
 def decrease_condition_value(L_f: float, mu: float, rho: float) -> float:

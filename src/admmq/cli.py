@@ -33,6 +33,7 @@ from .experiments import (
     InstanceSpec,
     ProtocolSpec,
     SweepResult,
+    check_algorithms,
     generate_instance,
     pairwise_histogram,
     run_protocol,
@@ -215,9 +216,7 @@ def cmd_sweep(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
     if not algorithms:
         raise ValueError("--algorithms names no algorithm")
-    for i, alg in enumerate(algorithms):
-        if alg not in METHODS or alg in algorithms[:i]:
-            raise ValueError(f"{'repeated' if alg in METHODS else 'unknown'} algorithm {alg!r}")
+    check_algorithms(algorithms)  # before --out is made
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -36,6 +36,7 @@ __all__ = [
     "RunRecord",
     "GridAggregate",
     "SweepResult",
+    "check_algorithms",
     "run_protocol",
     "pairwise_histogram",
     "write_histogram_csv",
@@ -421,6 +422,13 @@ class SweepResult:
             json.dump(self.summary_dict(), fh, indent=1)
 
 
+def check_algorithms(algorithms: Sequence[str]):
+    """Raise ValueError at the first unknown or repeated algorithm name."""
+    for i, alg in enumerate(algorithms):
+        if alg not in METHODS or alg in algorithms[:i]:
+            raise ValueError(f"{'repeated' if alg in METHODS else 'unknown'} algorithm {alg!r}")
+
+
 def run_protocol(
     instance: GeneratedInstance,
     algorithms: Sequence[str],
@@ -441,8 +449,10 @@ def run_protocol(
     points and the blocks take about equally long. With more than one block
     the blocks go to a process pool of one worker per block, whose OpenBLAS
     threads share the cores; records are read back by (algorithm, grid
-    point, init), so results do not depend on scheduling.
+    point, init), so results do not depend on scheduling. An unknown or
+    repeated algorithm raises ValueError before anything runs.
     """
+    check_algorithms(algorithms)
     # a hair above the radius, so that rounding in a distance cannot reach it
     reach = instance.dset.covering_radius() * (1.0 + 1e-9)
     plan = []  # (algorithm, grid point, source algorithm, source grid point), as record keys

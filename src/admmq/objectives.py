@@ -89,10 +89,13 @@ class QuadraticObjective(SmoothObjective):
         for name, arr in (("Q", Q), ("b", b), ("c", c)):
             if not np.all(np.isfinite(arr)):
                 raise ValueError(f"{name} must be finite")
-        asym = np.max(np.abs(Q - Q.T), initial=0.0)
-        if asym > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
-            raise ValueError("Q must be symmetric")
-        self.Q = 0.5 * (Q + Q.T)  # exact symmetry
+        with np.errstate(over="ignore"):  # entries near the largest double
+            asym = np.max(np.abs(Q - Q.T), initial=0.0)
+            if asym > 1e-8 * (1.0 + np.max(np.abs(Q), initial=0.0)):
+                raise ValueError("Q must be symmetric")
+            self.Q = 0.5 * (Q + Q.T)  # exact symmetry
+        if not np.all(np.isfinite(self.Q)):
+            raise ValueError("Q overflows a double when symmetrized")
         self.b = b
         self.c = c
         self.dim = Q.shape[0]
@@ -100,6 +103,8 @@ class QuadraticObjective(SmoothObjective):
             eigs = np.linalg.eigvalsh(self.Q)
         except np.linalg.LinAlgError as exc:
             raise ValueError(f"eigendecomposition of Q failed: {exc}") from exc
+        if not np.all(np.isfinite(eigs)):
+            raise ValueError("the eigenvalues of Q overflow a double")
         self.lipschitz_L = max(abs(float(eigs[0])), abs(float(eigs[-1])))
         self.weak_convexity_mu = max(0.0, -float(eigs[0]))
 

@@ -257,11 +257,16 @@ class DiscreteProductSet:
             n *= m
         return n
 
-    def enumerate_members(self, limit: int = 10_000_000) -> np.ndarray:
-        """All members as an (n, dim) array in lexicographic order.
+    def enumerate_members(
+        self, limit: int = 10_000_000, start: int = 0, stop: int | None = None
+    ) -> np.ndarray:
+        """Rows ``[start, stop)`` of all members in lexicographic order, as an (n, dim) array.
 
-        Fails if any coordinate is unbounded or if the product cardinality
-        exceeds ``limit``.
+        With no range, every member. Memory is O((stop - start) * dim), and
+        any split of the rows into ranges gives, stacked, the same array as
+        one call. Fails, before allocating, if any coordinate is unbounded,
+        if the product cardinality exceeds ``limit``, or if the range is not
+        inside ``[0, cardinality]``.
         """
         counts = []
         for i, c in enumerate(self.coords):
@@ -272,11 +277,39 @@ class DiscreteProductSet:
         total = math.prod(counts)
         if total > limit:
             raise ValueError(f"set has {total} members, exceeding limit {limit}")
-        out = np.empty((total, self.dim))
-        for i, c in enumerate(self.coords):
-            inner = math.prod(counts[i + 1 :])
-            outer = math.prod(counts[:i])
-            out[:, i] = np.tile(np.repeat(c.members(), inner), outer)
+        stop = total if stop is None else stop
+        if not 0 <= start <= stop <= total:
+            raise ValueError(f"rows [{start}, {stop}) are not within the {total} members")
+        n = stop - start
+        # the trailing coordinates whose product fits in n rows, k on, make a
+        # table that repeats down the rows with period `period`
+        k, period = self.dim, 1
+        while k > 0 and period * counts[k - 1] <= n:
+            k -= 1
+            period *= counts[k]
+        table = np.empty((period, self.dim - k))
+        for j, c in enumerate(self.coords[k:], start=k):
+            inner, outer = math.prod(counts[j + 1 :]), math.prod(counts[k:j])
+            table[:, j - k] = np.tile(np.repeat(c.members(), inner), outer)
+        if k == 0:
+            return table  # the whole set
+        out = np.empty((n, self.dim))
+        # the first period from at most two slices of the table, then doubling
+        first, head = start % period, min(n, period)
+        wrap = min(head, period - first)
+        out[:wrap, k:] = table[first : first + wrap]
+        out[wrap:head, k:] = table[: head - wrap]
+        while head < n:
+            m = min(head, n - head)
+            out[head : head + m, k:] = out[:m, k:]
+            head += m
+        # a leading coordinate is constant over runs of `period` rows or more
+        inner = period
+        for i in range(k - 1, -1, -1):
+            runs = np.arange(start // inner, (stop - 1) // inner + 1)
+            lengths = np.minimum((runs + 1) * inner, stop) - np.maximum(runs * inner, start)
+            out[:, i] = np.repeat(self.coords[i].members()[runs % counts[i]], lengths)
+            inner *= counts[i]
         return out
 
     def covering_radius(self) -> float:

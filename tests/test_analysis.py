@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from conftest import random_psd_quadratic
+from admmq import analysis
 from admmq.analysis import (
     brute_force_minimize,
     check_decrease_condition,
@@ -15,7 +18,7 @@ from admmq.analysis import (
     is_rho_stationary,
 )
 from admmq.objectives import QuadraticObjective
-from admmq.sets import uniform_lattice
+from admmq.sets import Binary, DiscreteProductSet, ExplicitGrid, ScaledLattice, uniform_lattice
 
 # f(x) = 1/2 (x^2 - x): no rho-stationary point exists at rho = 1/2 < L_f = 1
 HALF_PARABOLA = QuadraticObjective(Q=[[1.0]], b=[-0.5])
@@ -170,6 +173,131 @@ class TestEnumerateStationary:
         np.testing.assert_array_equal(enumerate_stationary_points(f, dset, rho=1.0), [[0.0]])
         with pytest.raises(ValueError, match=f"^tol must be non-negative and finite, got {tol}$"):
             enumerate_stationary_points(f, dset, rho=1.0, tol=tol)
+
+
+# Binary x a lattice boxed to [0, 2] x a 3-value grid x a lattice boxed to [-2, 2]: 90 members
+MIXED = DiscreteProductSet((Binary(), ScaledLattice(1.0, 0.0, 2.0),
+                            ExplicitGrid((-1.0, 0.5, 3.0)), ScaledLattice(1.0, -2.0, 2.0)))
+
+
+def reference_members(dset):
+    return [np.array(p) for p in itertools.product(*(c.members() for c in dset.coords))]
+
+
+def reference_minimum(f, dset):
+    """First minimizer in enumeration order, by ``f.value`` on each member."""
+    best, best_val = None, math.inf
+    for x in reference_members(dset):
+        if best is None or f.value(x) < best_val:
+            best, best_val = x, f.value(x)
+    return best, best_val
+
+
+def reference_stationary(f, dset, rho, tol=1e-9):
+    """Members no farther from ``x - grad f(x) / rho`` than the nearest value
+    of each coordinate set, by ``f.gradient`` on each member."""
+    keep = []
+    for x in reference_members(dset):
+        t = x - f.gradient(x) / rho
+        if all(abs(x[i] - t[i]) - np.min(np.abs(c.members() - t[i])) <= tol
+               for i, c in enumerate(dset.coords)):
+            keep.append(x)
+    return np.array(keep).reshape(-1, dset.dim)
+
+
+@pytest.fixture(params=[None, 1, 7, 64], ids=["default", "chunk1", "chunk7", "chunk64"])
+def chunked(request, monkeypatch):
+    """The oracles with ``_EVAL_CHUNK`` at its default or at a few small sizes,
+    and ``_GAP_ROWS`` below the chunk length, so that blocks of every kind end
+    inside the set."""
+    if request.param is not None:
+        monkeypatch.setattr(analysis, "_EVAL_CHUNK", request.param)
+        monkeypatch.setattr(analysis, "_GAP_ROWS", max(1, request.param // 3))
+    return request.param
+
+
+class TestOraclesAgainstReference:
+    """Both oracles against references that share no code with them."""
+
+    def test_minimum(self, chunked):
+        rng = np.random.default_rng(21)
+        for _ in range(3):
+            f = random_psd_quadratic(rng, d=MIXED.dim)
+            argmin, value = brute_force_minimize(f, MIXED)
+            ref_argmin, ref_value = reference_minimum(f, MIXED)
+            np.testing.assert_array_equal(argmin, ref_argmin)
+            assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-12)
+
+    def test_constant_objective_takes_the_first_member(self, chunked):
+        f = QuadraticObjective(Q=np.zeros((MIXED.dim, MIXED.dim)), b=np.zeros(MIXED.dim), c=1.5)
+        argmin, value = brute_force_minimize(f, MIXED)
+        np.testing.assert_array_equal(argmin, reference_members(MIXED)[0])
+        assert value == 1.5
+        # the gradient is 0, so every member is its own target: all are stationary
+        np.testing.assert_array_equal(
+            enumerate_stationary_points(f, MIXED, rho=1.0), np.array(reference_members(MIXED))
+        )
+
+    @pytest.mark.parametrize("rho_factor", [0.1, 1.0, 10.0])
+    def test_stationary_points(self, chunked, rho_factor):
+        rng = np.random.default_rng(22)
+        for _ in range(3):
+            f = random_psd_quadratic(rng, d=MIXED.dim)
+            rho = rho_factor * f.lipschitz_L
+            np.testing.assert_array_equal(
+                enumerate_stationary_points(f, MIXED, rho), reference_stationary(f, MIXED, rho)
+            )
+
+
+class _NanLeft(QuadraticObjective):
+    """x^2 / 2 whose batched values are NaN for x < 0."""
+
+    def __init__(self):
+        super().__init__([[1.0]], [0.0])
+
+    def value_many(self, X):
+        vals = super().value_many(X)
+        vals[np.asarray(X)[:, 0] < 0] = np.nan
+        return vals
+
+
+class TestOracleFailures:
+    def test_nan_value_names_the_first_member(self, chunked):
+        # np.argmin would take a chunk's first NaN and miss the minimum at 0
+        with pytest.raises(ValueError, match=r"^objective is NaN at member \[-2\.0\] \(row 0\)$"):
+            brute_force_minimize(_NanLeft(), uniform_lattice(1, 1.0, -2.0, 2.0))
+
+    def test_nan_after_the_minimum(self, chunked):
+        dset = DiscreteProductSet((ScaledLattice(1.0, -2.0, 2.0), Binary()))
+        f = QuadraticObjective(np.zeros((2, 2)), np.zeros(2))
+        f.value_many = lambda X: np.where(X[:, 0] > 1, np.nan, 0.0)
+        with pytest.raises(ValueError, match=r"at member \[2\.0, -1\.0\] \(row 8\)$"):
+            brute_force_minimize(f, dset)
+
+    def test_all_infinite_values_take_the_first_member(self):
+        f = QuadraticObjective([[1.0]], [0.0])
+        f.value_many = lambda X: np.full(len(X), np.inf)
+        argmin, value = brute_force_minimize(f, uniform_lattice(1, 1.0, -2.0, 2.0))
+        assert argmin.tolist() == [-2.0] and value == math.inf
+
+
+class TestOracleMemory:
+    # 3^12 = 531441 members: the full (n, 12) array is 51 MB, about 8 chunks
+    BOX = uniform_lattice(12, 1.0, -1.0, 1.0)
+
+    @pytest.mark.parametrize("oracle", ["brute_force_minimize", "enumerate_stationary_points"])
+    def test_peak_is_below_half_the_member_array(self, oracle):
+        rng = np.random.default_rng(23)
+        f = random_psd_quadratic(rng, d=self.BOX.dim)
+        args = (f, self.BOX) if oracle == "brute_force_minimize" else (f, self.BOX, 0.1 * f.lipschitz_L)
+        full_bytes = int(self.BOX.cardinality()) * self.BOX.dim * 8
+        tracemalloc.start()
+        try:
+            getattr(analysis, oracle)(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < full_bytes / 2, (peak, full_bytes)
 
 
 class TestParameterConditions:

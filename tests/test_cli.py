@@ -323,6 +323,18 @@ def test_set_dimension_mismatch_is_usage_error(tmp_path, capsys, command):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", LOADING_COMMANDS)
+def test_overflowing_q_is_usage_error(tmp_path, capsys, command):
+    def huge(inst):
+        return put(inst, ("Q", 0, 0), 1e308)
+
+    assert load_edited_instance(tmp_path, command, huge) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.endswith("Q overflows a double when symmetrized\n")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
 MALFORMED = {  # a path into the instance JSON and the value put there
     "spec-d-string": (("spec", "d"), "abc"),
     "set-number": (("set",), 5),
@@ -380,6 +392,18 @@ class TestBruteforce:
 
     def test_unbounded_is_usage_error(self, quad2_path):
         assert main(["bruteforce", "--instance", quad2_path]) == 2
+
+    def test_nan_objective_is_usage_error(self, tmp_path, capsys):
+        # at x = 1e5, 1/2 x'Qx overflows to inf and b'x to -inf: the value is NaN
+        lattice = {"kind": "lattice", "v": 1e5, "a": None, "b": None}
+        inst = {"Q": [[1e300]], "b": [-1e308], "set": {"coords": [lattice]}}
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps(inst))
+        argv = ["bruteforce", "--instance", str(path), "--bounds", "0", "1e5"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: objective is NaN at member [100000.0] (row 1)\n"
+        )
 
 
 class TestVerifyConditions:

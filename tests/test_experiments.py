@@ -188,6 +188,17 @@ class TestRunProtocol:
         # admm-q: 2 rhos, admm-r: 2 rhos x 2 ps, gd-proj: 1; times 3 inits
         assert len(res.records) == (2 + 4 + 1) * 3
 
+    @pytest.mark.parametrize("algorithms, message", [
+        (["admm-q", "admm-q"], "repeated algorithm 'admm-q'"),
+        (["pgd", "admm-s", "pgd"], "repeated algorithm 'pgd'"),
+        (["admm-q", "nope"], "unknown algorithm 'nope'"),
+    ])
+    def test_bad_algorithm_list_raises(self, monkeypatch, algorithms, message):
+        inst = generate_instance(InstanceSpec(d=2, sigma_q_sq=4.0, seed=5))
+        monkeypatch.setattr(experiments, "_execute_task", None)  # nothing may run
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_protocol(inst, algorithms, tiny_protocol())
+
     def test_quantile_ordering(self):
         inst = generate_instance(InstanceSpec(d=2, sigma_q_sq=4.0, seed=5))
         res = run_protocol(inst, ["admm-q", "pgd"], tiny_protocol())

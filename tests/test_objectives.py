@@ -75,6 +75,22 @@ class TestQuadratic:
         with pytest.raises(ValueError, match=f"^{field} must be finite$"):
             QuadraticObjective(**args)
 
+    @pytest.mark.parametrize("Q, message", [
+        ([[1e308, -1e308], [-1e308, 1e308]], "^Q overflows a double when symmetrized$"),
+        ([[1e308, 0.0], [0.0, 1.0]], "^Q overflows a double when symmetrized$"),
+        ([[0.0, 1e308], [-1e308, 0.0]], "^Q must be symmetric$"),
+        (np.full((3, 3), 8e307), "^the eigenvalues of Q overflow a double$"),
+    ])
+    def test_overflow_rejected(self, Q, message):
+        # 0.5 * (Q + Q') or the spectrum leaves the doubles: Q = inf, lipschitz_L = nan
+        with pytest.raises(ValueError, match=message):
+            QuadraticObjective(Q=Q, b=np.zeros(len(Q)))
+
+    def test_largest_finite_q_is_kept(self):
+        f = QuadraticObjective(Q=[[8e307, 0.0], [0.0, -1.0]], b=[0.0, 0.0])
+        assert f.lipschitz_L == pytest.approx(8e307, rel=1e-12)
+        assert f.weak_convexity_mu == pytest.approx(1.0, rel=1e-12)
+
     def test_json_round_trip(self):
         f = QuadraticObjective(Q=[[2.0, 0.5], [0.5, 1.0]], b=[1.0, -1.0], c=0.08)
         g = QuadraticObjective.from_dict(json.loads(json.dumps(f.to_dict())))

@@ -198,6 +198,50 @@ class TestEnumerate:
         assert members.shape[0] == dset.cardinality()
 
 
+@st.composite
+def finite_sets_and_ranges(draw):
+    """A small finite product set of every coordinate kind and a row range
+    ``0 <= start <= stop <= cardinality``."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dset = random_product_set(rng, max_members=400)
+    total = int(dset.cardinality())
+    start = draw(st.integers(0, total))
+    stop = draw(st.one_of(st.just(start), st.just(total), st.integers(start, total)))
+    return dset, start, stop
+
+
+class TestEnumerateRange:
+    @given(finite_sets_and_ranges())
+    @settings(max_examples=200, deadline=None)
+    def test_range_is_a_slice_of_the_full_array(self, case):
+        dset, start, stop = case
+        got = dset.enumerate_members(start=start, stop=stop)
+        assert got.shape == (stop - start, dset.dim)
+        np.testing.assert_array_equal(got, dset.enumerate_members()[start:stop])
+
+    def test_long_coordinates_and_leading_runs(self):
+        # 2 x 1 x 40 x 3 members: the 40-value coordinate changes every 3 rows,
+        # so a range of 100 rows holds up to 35 runs of it
+        dset = DiscreteProductSet((Binary(), ExplicitGrid((4.0,)), ScaledLattice(0.5, -10.0, 9.5),
+                                   ExplicitGrid((-1.0, 0.0, 7.0))))
+        full = dset.enumerate_members()
+        assert full.shape == (2 * 40 * 3, 4)
+        for start, stop in [(0, 1), (5, 105), (59, 200), (119, 121), (100, 240), (240, 240)]:
+            np.testing.assert_array_equal(dset.enumerate_members(start=start, stop=stop),
+                                          full[start:stop])
+
+    @pytest.mark.parametrize("start, stop", [(-1, 2), (2, 1), (0, 5), (5, 5), (0, -1)])
+    def test_range_outside_the_set(self, start, stop):
+        with pytest.raises(ValueError, match=r"^rows \[.*\) are not within the 4 members$"):
+            binary_set(2).enumerate_members(start=start, stop=stop)
+
+    def test_checks_precede_the_range(self):
+        with pytest.raises(ValueError, match="unbounded"):
+            uniform_lattice(2, 1.0).enumerate_members(start=0, stop=1)
+        with pytest.raises(ValueError, match="limit"):
+            binary_set(10).enumerate_members(limit=100, start=0, stop=1)
+
+
 class TestValidation:
     def test_lattice_needs_positive_spacing(self):
         for v in (0.0, -1.0, math.nan):

@@ -10,6 +10,7 @@ from admmq.experiments import InstanceSpec, generate_instance
 from admmq.objectives import QuadraticObjective, SmoothObjective, synthetic_logistic
 from admmq.rng import RunRng
 from admmq.sets import binary_set, uniform_lattice
+from admmq import solvers
 from admmq.solvers import (
     METHODS,
     DivergenceError,
@@ -798,6 +799,81 @@ class TestRunLanes:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="unknown method"):
             run_lanes("sgd", D16.objective, D16.dset, [SolverConfig()])
+
+
+class _SignedZero(SmoothObjective):
+    """A quadratic's gradient with a value of ``0.0 * x[0]``: every score is a signed zero."""
+
+    def __init__(self, q: QuadraticObjective):
+        self._q = q
+        self.dim, self.lipschitz_L = q.dim, q.lipschitz_L
+        self.weak_convexity_mu = q.weak_convexity_mu
+
+    def value(self, x):
+        return 0.0 * float(x[0])
+
+    def gradient(self, x):
+        return self._q.gradient(x)
+
+
+class TestLaneStateEdges:
+    """Corners of a lane's window, cycle test and mask stream; each lane matches its run alone."""
+
+    def test_signed_zero_tie_in_window(self):
+        # pgd's orbit -0.0 -> 1 -> -0.0 scores -0.0, 0.0, -0.0, ...: every
+        # window is a tie, which the first of its equal values wins
+        f = _SignedZero(QuadraticObjective(Q=[[1.0]], b=[-0.3]))
+        base = SolverConfig(rho=0.5, seed=0, init_scale=1e-6, trace_stride=1)
+        configs = [dataclasses.replace(base, max_iters=m, window=w)
+                   for m in (9, 10, 40, 41) for w in (1, 2, 3, 50)]
+        for method in ("pgd", "admm-q", "admm-r", "admm-s"):
+            lane_kinds(method, f, INTS, configs)
+        signs = set()
+        for config, res in zip(configs, run_lanes("pgd", f, INTS, configs)):
+            window = res.trace.as_arrays()["f_y"].tolist()[-config.window:]
+            assert repr(res.best_objective) == repr(min(window))
+            signs.add(repr(res.best_objective))
+        assert signs == {"0.0", "-0.0"}
+
+    def test_admm_r_lanes_end_between_mask_draws(self, monkeypatch):
+        # admm-r lanes that diverge, fail or retire a cycle at scattered
+        # iterations while others go on drawing masks; ``_MASK_BLOCK`` is the
+        # number of iterations of masks a lane draws at once
+        configs = [
+            SolverConfig(rho=rho, seed=seed, mask_prob=p, max_iters=300, window=w)
+            for rho in (0.5, 0.9, 2.0, 40.0)
+            for seed, p, w in ((3, 0.9, 20), (4, 0.5, 1), (5, 1.0, 7))
+        ]
+        want = None
+        for block in (1, 2, 3, 64):
+            monkeypatch.setattr(solvers, "_MASK_BLOCK", block, raising=False)
+            kinds = lane_kinds("admm-r", INDEFINITE, uniform_lattice(3, 1.0), configs)
+            assert {"diverged", "cycle", "budget"} <= kinds
+            got = run_lanes("admm-r", INDEFINITE, uniform_lattice(3, 1.0), configs)
+            want = want or got
+            for g, w in zip(got, want):
+                assert_same_outcome(g, w)
+        ends = {out.iteration for out in want if isinstance(out, SolverError)}
+        ends |= {out.iterations_run for out in want if not isinstance(out, SolverError)}
+        assert len({e % 3 for e in ends}) == 3 and any(e % 64 for e in ends)
+
+    @pytest.mark.parametrize("window", [1, 10**6])
+    def test_window_extremes(self, window):
+        # a window of one iteration, and one longer than any budget
+        pairs = [(m, dataclasses.replace(c, window=window))
+                 for m in METHODS for c in variant_configs(m)]
+        methods, configs = [m for m, _ in pairs], [c for _, c in pairs]
+        dset = uniform_lattice(3, 1.0)
+        kinds = lane_kinds(methods, INDEFINITE, dset, configs)
+        assert {"budget", "diverged", "cycle"} <= kinds
+        outcomes = run_lanes(methods, INDEFINITE, dset, configs)
+        retired = [
+            out.iterations_run < config.max_iters
+            for m, config, out in zip(methods, configs, outcomes)
+            if m != "gd-proj" and not isinstance(out, SolverError)
+        ]
+        # a cycle retires only with a window's worth of budget left
+        assert any(retired) == (window == 1)
 
 
 # f(x) = 1/2 1e-3 x^2 + 1.5e308 x: x + lambda/rho overflows once lambda ~ -f'(x)

@@ -128,10 +128,10 @@ def brute_force_minimize(
     return best, best_val
 
 
-def _stationary_rows(
+def _stationary_mask(
     f: SmoothObjective, dset: DiscreteProductSet, chunk: np.ndarray, rho: float, tol: float
 ) -> np.ndarray:
-    """The rho-stationary rows of ``chunk``.
+    """Which rows of ``chunk`` are rho-stationary.
 
     The projection and the gap test act row by row, so they take
     ``_GAP_ROWS`` rows at a time, in place, with temporaries that stay in
@@ -152,7 +152,34 @@ def _stationary_rows(
         np.less_equal(gaps[:, 0], tol, out=ok)
         for j in range(1, dset.dim):
             ok &= gaps[:, j] <= tol
-    return chunk[stationary]
+    return stationary
+
+
+def _stationary_rows(
+    f: SmoothObjective, dset: DiscreteProductSet, chunk: np.ndarray, start: int, rho: float,
+    tol: float,
+) -> np.ndarray:
+    """The rho-stationary rows of ``chunk``, whose first row is member ``start``.
+
+    A member whose gradient step ``x - grad f(x) / rho`` is not finite
+    raises ValueError naming it. A trap on overflow and on invalid
+    operations finds such a member, so the search for it runs only once
+    the trap fires. A finite step whose gaps overflow fails its test.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return chunk[_stationary_mask(f, dset, chunk, rho, tol)]
+    except FloatingPointError:
+        pass
+    with np.errstate(over="ignore", invalid="ignore"):
+        targets = chunk - f.gradient_many(chunk) / rho
+        bad = ~np.isfinite(targets).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(
+                f"gradient step is not finite at member {chunk[i].tolist()} (row {start + i})"
+            )
+        return chunk[_stationary_mask(f, dset, chunk, rho, tol)]
 
 
 def enumerate_stationary_points(
@@ -166,11 +193,12 @@ def enumerate_stationary_points(
 
     Members are built and checked ``_EVAL_CHUNK`` rows at a time, so memory
     is O(chunk * dim) beyond the result, and the result is that of checking
-    every member at once.
+    every member at once. A member whose gradient step ``x - grad f(x) /
+    rho`` overflows raises ValueError naming the member and its row.
     """
     _check_rho_tol(rho, tol)
     keep = [
-        _stationary_rows(f, dset, dset.enumerate_members(limit, start, stop), rho, tol)
+        _stationary_rows(f, dset, dset.enumerate_members(limit, start, stop), start, rho, tol)
         for start, stop in _chunk_ranges(dset)
     ]
     return np.vstack(keep)  # a set has at least one member, so one chunk

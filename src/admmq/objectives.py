@@ -52,13 +52,13 @@ class SmoothObjective(abc.ABC):
         X = np.asarray(X, dtype=float)
         return np.stack([self.gradient(row) for row in X])
 
-    def value_rows(self, X: np.ndarray) -> list[float]:
+    def value_rows(self, X: np.ndarray) -> np.ndarray:
         """``value`` of each row of an (n, dim) array, bit for bit. Default: loop.
 
         Unlike ``value_many``, which may sum in another order, this is what
         a batched solver scores with, so that a batch reproduces single runs.
         """
-        return [self.value(row) for row in X]
+        return np.array([self.value(row) for row in X], dtype=float)
 
     def gradient_rows(self, X: np.ndarray) -> np.ndarray:
         """``gradient`` of each row of an (n, dim) array, bit for bit. Default: loop."""
@@ -123,14 +123,16 @@ class QuadraticObjective(SmoothObjective):
     def gradient_many(self, X) -> np.ndarray:
         return np.asarray(X, dtype=float) @ self.Q + self.b
 
-    # A stacked matmul makes one matrix-vector product and one dot product
-    # per row, the BLAS calls of ``value`` and ``gradient``; ``X @ Q`` would
-    # be one matrix product, whose rows can differ in the last bit.
-    def value_rows(self, X) -> list[float]:
-        col = X[:, :, None]
-        quad = np.matmul(np.matmul(X[:, None], self.Q), col).ravel().tolist()
-        lin = np.matmul(self.b, col).ravel().tolist()
-        return [0.5 * q + v + self.c for q, v in zip(quad, lin)]
+    # A stacked matmul makes one matrix-vector product per row and vecdot
+    # one dot product per row, the BLAS calls of ``value`` and ``gradient``;
+    # ``X @ Q`` would be one matrix product, whose rows can differ in the
+    # last bit.
+    def value_rows(self, X) -> np.ndarray:
+        out = np.vecdot(np.matmul(X[:, None], self.Q)[:, 0], X)
+        out *= 0.5
+        out += np.vecdot(X, self.b)
+        out += self.c
+        return out
 
     def gradient_rows(self, X) -> np.ndarray:
         n, d = X.shape

@@ -37,8 +37,12 @@ class RunRng:
         z = np.concatenate([r * np.cos(theta), r * np.sin(theta)])
         return z[:n]
 
-    def bernoulli(self, p: float, n: int) -> np.ndarray:
-        """Boolean array of n independent Bernoulli(p) draws."""
+    def bernoulli(self, p: float, n) -> np.ndarray:
+        """Boolean array of independent Bernoulli(p) draws; ``n`` is a count or a shape.
+
+        The stream fills a shape row by row, so ``bernoulli(p, (k, m))`` gives
+        the bits of k successive ``bernoulli(p, m)`` calls.
+        """
         return self._gen.random(n) < p
 
 

@@ -33,7 +33,7 @@ import dataclasses
 import itertools
 import math
 import numbers
-from collections import deque
+import types
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -182,8 +182,9 @@ def augmented_lagrangian(f: SmoothObjective, x, y, lam, rho: float) -> float:
 class _ClosedFormX:
     """x-update for quadratics: a cached Cholesky factor, one LAPACK solve per call.
 
-    ``solve`` takes one lane per row and solves all their right-hand sides in
-    one ``potrs`` call; each column comes out bit for bit as it would alone.
+    ``solve`` takes one lane's right-hand side ``rho y - lambda - b`` per row
+    and solves them all in one ``potrs`` call, in place; each row comes out
+    bit for bit as it would alone.
     """
 
     def __init__(self, f: QuadraticObjective, rho: float):
@@ -194,13 +195,13 @@ class _ClosedFormX:
                 f"Q + rho*I is not positive definite (rho={rho} <= mu="
                 f"{f.weak_convexity_mu}): {exc}"
             ) from exc
-        self._b = f.b
-        self._rho = rho
 
-    def solve(self, y_new, lam, x_prev):
-        rhs = self._rho * y_new - lam - self._b
-        x, _ = dpotrs(self._factor, rhs.T, lower=self._lower, overwrite_b=True)
-        return x.T, 0
+    def solve(self, rhs):
+        cols = rhs.T  # Fortran-ordered when rhs is a C-ordered block, which potrs overwrites
+        x, _ = dpotrs(self._factor, cols, self._lower, 1)
+        if x is not cols:
+            rhs[...] = x.T
+        return rhs, 0
 
 
 class _CertifiedGdX:
@@ -275,19 +276,37 @@ def build_x_update(
     return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
 
 
-def _step_lanes(f, dset, X, Y, Lam, rho, solves, masks=None, radius=None, soft=None):
+class _Rows:
+    """What a batch's rows share, from each row's x-solver (pgd's, None, last):
+    the blocks of ``closed`` Cholesky solves and certified ``descent``, pgd's
+    slice, and admm-s's step bound per row, NaN off the soft rows (None: none)."""
+
+    def __init__(self, updaters, radius=None):
+        self.closed, self.descent, self.pgd, self.radius = [], [], None, radius
+        self.zero_radius = radius is not None and bool((radius == 0.0).any())
+        start = 0
+        for updater, members in itertools.groupby(updaters):
+            stop = start + len(list(members))
+            if updater is None:
+                self.pgd = slice(start, stop)
+            elif isinstance(updater, _ClosedFormX):
+                self.closed.append((slice(start, stop), updater))
+            else:
+                self.descent.append((start, stop, updater))
+            start = stop
+
+
+def _step_lanes(f, dset, X, Y, Lam, rho, rows: _Rows, masks=None):
     """One iteration for every lane; rows of the arrays are lanes.
 
-    ``solves`` lists ``(start, stop, x_update)`` for each block of lanes that
-    shares an x-solver; a last block whose ``x_update`` is None holds pgd's
-    lanes. Each lane projects its target, ``z = x + lambda/rho`` or pgd's
+    ``rows`` says which lanes share an x-solver, which are pgd's and which
+    are soft. Each lane projects its target, ``z = x + lambda/rho`` or pgd's
     ``x - grad f(x)/rho``, and takes y from the projection where its row of
     ``masks`` is True, with the old y kept elsewhere (admm-r's mask; other
-    rows are all True), or, on a True row of the boolean column ``soft``,
-    moved from z toward it by at most ``radius`` (admm-s; None: no row is
-    soft). Then it minimizes the Lagrangian in x (pgd: x = y) and ascends
-    lambda, which for pgd stays 0. ``rho`` and ``radius`` are numbers or
-    columns with one entry per lane; with a pgd block ``rho`` is a column.
+    rows are all True), or, on a soft row, moved from z toward it by at most
+    its radius (admm-s). Then it minimizes the Lagrangian in x (pgd: x = y)
+    and ascends lambda, which for pgd stays 0. ``rho`` is a number or a
+    column with one entry per lane; with pgd's lanes it is a column.
 
     Returns the new X, Y and Lam, the inner steps per lane (None when every
     solve is direct), the projection, f of each row of Y, and ``{lane:
@@ -296,43 +315,45 @@ def _step_lanes(f, dset, X, Y, Lam, rho, solves, masks=None, radius=None, soft=N
     here names no iteration; the caller knows it.
     """
     Z = X + Lam / rho
-    start, stop, x_update = solves[-1]
-    pgd = range(start, stop) if x_update is None else range(0)
-    if pgd:
-        Z[start:stop] = X[start:stop] - f.gradient_rows(X[start:stop]) / rho[start:stop]
-    bad = [] if math.isfinite(Z.sum()) else np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist()
+    pgd = rows.pgd
+    if pgd is not None:
+        Z[pgd] = X[pgd] - f.gradient_rows(X[pgd]) / rho[pgd]
+    bad = ([] if math.isfinite(np.add.reduce(Z, None)) else
+           np.flatnonzero(~np.isfinite(Z).all(axis=1)).tolist())
     Z_proj = dset.project_many(Z)
     Y_new = Z_proj if masks is None else np.where(masks, Z_proj, Y)
-    if soft is not None:
+    if rows.radius is not None:
         D = Z_proj - Z
         # np.linalg.norm of each row, bit for bit: one dot product per row
-        dist = np.sqrt(np.matmul(D[:, None], D[:, :, None])).reshape(len(D), 1)
-        # a row that is not soft keeps its y whatever its dist, which may overflow
-        keep = (radius > dist) | (dist == 0.0) | ~soft
-        Y_new = np.where(keep, Y_new, Z + radius * (D / dist))
-    inner, failed, parts = None, {}, []
-    for start, stop, x_update in solves:
-        if x_update is None:
-            parts.append(Y_new[start:stop])
-        elif isinstance(x_update, _ClosedFormX):
-            parts.append(x_update.solve(Y_new[start:stop], Lam[start:stop], X[start:stop])[0])
-        else:
-            block = np.empty((stop - start, X.shape[1]))
-            inner = np.zeros(len(X), dtype=int) if inner is None else inner
-            for i in range(start, stop):
-                if i not in bad:
-                    try:
-                        block[i - start], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
-                    except SolverError as exc:
-                        failed[i] = exc
-            parts.append(block)
-    X_new = parts[0] if len(parts) == 1 else np.concatenate(parts)
+        dist = np.sqrt(np.vecdot(D, D))[:, None]
+        # a NaN radius compares False: a row that is not soft keeps its y
+        # whatever its dist, which may overflow; a radius of 0 moves no row at dist 0
+        move = rows.radius <= dist
+        if rows.zero_radius:
+            move &= dist != 0.0
+        Y_new = np.where(move, Z + rows.radius * (D / dist), Y_new)
+    # the right-hand sides of the Cholesky solves, which solve them in place
+    X_new = rho * Y_new - Lam - f.b if rows.closed else np.empty_like(Y_new)
+    for block, x_update in rows.closed:
+        x_update.solve(X_new[block])
+    if pgd is not None:
+        X_new[pgd] = Y_new[pgd]
+    inner, failed = None, {}
+    for start, stop, x_update in rows.descent:
+        inner = np.zeros(len(X), dtype=int) if inner is None else inner
+        for i in range(start, stop):
+            if i not in bad:
+                try:
+                    X_new[i], inner[i] = x_update.solve(Y_new[i], Lam[i], X[i])
+                except SolverError as exc:
+                    failed[i] = exc
     Lam = Lam + rho * (X_new - Y_new)
     fys = f.value_rows(Y_new)
     errors = {}
     # a non-finite x shows in lambda + rho (x - y)
-    if bad or failed or not (math.isfinite(Lam.sum()) and math.isfinite(sum(fys))):
-        for i, fy in enumerate(fys):
+    if bad or failed or not math.isfinite(np.add.reduce(Lam, None) + np.add.reduce(fys)):
+        pgd = range(0) if pgd is None else range(pgd.start, pgd.stop)
+        for i, fy in enumerate(fys.tolist()):
             target = "projected-gradient" if i in pgd else "projection"
             exc = DivergenceError(f"non-finite {target} target") if i in bad else failed.get(i)
             if exc is None:
@@ -347,14 +368,13 @@ def _step_lanes(f, dset, X, Y, Lam, rho, solves, masks=None, radius=None, soft=N
     return X_new, Y_new, Lam, inner, Z_proj, fys, errors
 
 
-def _one_lane(
-    f, dset, state: IterateState, rho: float, x_update, masks=None, radius=None, soft=None
-) -> IterateState:
+def _one_lane(f, dset, state: IterateState, rho: float, x_update, masks=None,
+              radius=None) -> IterateState:
     """The ADMM lane step at n = 1; a failure raises what a run raises at ``state.r + 1``."""
+    rows = _Rows([x_update], None if radius is None else np.full((1, 1), radius))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         X, Y, Lam, inner, _, _, errors = _step_lanes(
-            f, dset, state.x[None], state.y[None], state.lam[None], rho,
-            [(0, 1, x_update)], masks, radius, soft,
+            f, dset, state.x[None], state.y[None], state.lam[None], rho, rows, masks
         )
     if errors:
         raise errors[0].at(state.r + 1)
@@ -429,7 +449,7 @@ def admm_s_step(
     projection itself and the step coincides with the exact method.
     """
     x_update = x_update or build_x_update(f, rho)
-    return _one_lane(f, dset, state, rho, x_update, radius=beta / rho, soft=np.ones((1, 1), bool))
+    return _one_lane(f, dset, state, rho, x_update, radius=beta / rho)
 
 
 def pgd_step(
@@ -439,7 +459,7 @@ def pgd_step(
     x = np.asarray(x, dtype=float)[None]
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         x_new, *_, errors = _step_lanes(
-            f, dset, x, x, np.zeros_like(x), np.full((1, 1), float(rho)), [(0, 1, None)]
+            f, dset, x, x, np.zeros_like(x), np.full((1, 1), float(rho)), _Rows([None])
         )
     if errors:
         raise errors[0]
@@ -592,46 +612,18 @@ def _gd_proj(
     return RunResult("gd-proj", trace, state, val, f_y0, val, 0.0 if ok else math.inf)
 
 
-def _key(x, y, lam) -> bytes:
-    """The bits of (x, y, lambda); equal keys mean a bit-identical iterate."""
-    return x.tobytes() + y.tobytes() + lam.tobytes()
+# iterations of admm-r masks that a lane draws from its stream at once
+_MASK_BLOCK = 64
 
 
 class _Lane:
-    """One lane of :func:`run_lanes`: its run's method, config, stream, x-solver, trace and window.
+    """A lane's run: method, config, stream, x-solver, trace; its state is rows of arrays."""
 
-    The lane's iterate is a row of the kernel's arrays.
-    """
+    __slots__ = ("i", "method", "config", "rng", "updater", "trace", "f_y0")
 
-    __slots__ = ("i", "method", "config", "rng", "updater", "trace", "window", "f_y0", "off",
-                 "moved", "saved", "since", "power", "period", "skip", "rows")
-
-    def __init__(self, i: int, method: str, config: SolverConfig, rng: RunRng, updater,
-                 f_y0: float, key: bytes):
+    def __init__(self, i, method, config, rng, updater, f_y0):
         self.i, self.method, self.config, self.rng = i, method, config, rng
-        self.updater, self.f_y0 = updater, f_y0
-        self.trace = RunTrace()
-        self.window = deque([f_y0], maxlen=config.window)  # f(y) of the trailing iterations
-        self.off = 0  # the lane's iteration count is t + off; off is the iterations skipped
-        self.moved = 0  # the t at which y last changed: y has been stable for t - moved
-        # Brent's method: the saved iterate's bits (None once the lane stops
-        # looking), the t at which they were saved, and the gap at which
-        # they move on
-        self.saved, self.since, self.power = key, 0, 1
-        # a found cycle: its period, and the iterations still to skip once
-        # one more cycle has recorded its trace rows
-        self.period = self.skip = 0
-        self.rows: list = []
-
-
-def _solver_blocks(lanes) -> list:
-    """``(start, stop, x_update)`` for each run of adjacent lanes sharing an x-solver, or none."""
-    out, start = [], 0
-    for updater, members in itertools.groupby(lanes, key=lambda lane: lane.updater):
-        stop = start + len(list(members))
-        out.append((start, stop, updater))
-        start = stop
-    return out
+        self.updater, self.f_y0, self.trace = updater, f_y0, RunTrace()
 
 
 def _lane_methods(method, n: int) -> list[str]:
@@ -668,6 +660,15 @@ def run_lanes(
     right-hand sides per iteration. pgd's lanes have no x-solver and take
     the last rows.
 
+    A lane's bookkeeping is columns, one entry per lane: its window of f(y)
+    as a ring reduced only when the lane finishes, the iteration at which y
+    last changed, and its cycle test. A few array operations per step find
+    the lanes with an event; Python visits a lane only then: a trace row, a
+    cycle found or recorded, a save of the cycle test, a finish. An admm-r
+    lane draws its masks ``_MASK_BLOCK`` iterations at a time from its own
+    stream, the bits of drawing them one iteration at a time; draws left
+    when it ends are dropped with its stream, so no other lane sees them.
+
     Returns, in config order, each lane's :class:`RunResult`, or the
     :class:`SolverError` that ended it. Either is bit for bit what the lane
     gives alone: :func:`run` is this kernel at n = 1.
@@ -678,13 +679,13 @@ def run_lanes(
     between them reaches a power of two. Once the lane repeats with period
     k, one more cycle runs to record its trace rows, whole cycles are
     skipped by advancing that lane's iteration count, and at least
-    ``window`` iterations still run for real. An admm-r lane whose mask kept
-    an old coordinate of y starts looking afresh, since that step was not a
-    function of the state.
+    ``window`` iterations still run for real. An admm-r lane whose
+    projection differs from its old y starts looking afresh, since its mask
+    decided that step, which so was not a function of the state.
     """
     configs = list(configs)
     methods = _lane_methods(method, len(configs))
-    d, w = dset.dim, 8 * dset.dim  # w: bytes per row
+    d = dset.dim
     outcomes: list = [None] * len(configs)
 
     def lagrangian(lane, x, y, lam) -> float:
@@ -695,18 +696,12 @@ def run_lanes(
             val += lane.config.beta * dset.soft_indicator(y)
         return val
 
-    def finish(lane, state, step_norm, y_stable):
+    def finish(lane, state, window, step_norm, y_stable, skipped, period):
+        # window: f(y) of the trailing iterations, oldest first; min keeps the
+        # first of equal values, so a tie of 0.0 and -0.0 keeps its sign
         outcomes[lane.i] = RunResult(
-            method=lane.method,
-            trace=lane.trace,
-            state=state,
-            best_objective=float(min(lane.window)),
-            initial_objective=lane.f_y0,
-            final_objective=float(lane.window[-1]),
-            final_step_norm=step_norm,
-            y_stable_iters=y_stable,
-            iterations_run=lane.config.max_iters - lane.off,
-            cycle_period=lane.period,
+            lane.method, lane.trace, state, float(min(window)), lane.f_y0, float(window[-1]),
+            step_norm, y_stable, lane.config.max_iters - skipped, period,
         )
 
     # overflow on the way to +-inf is the divergence signal, not a bug
@@ -741,104 +736,144 @@ def run_lanes(
                 if i not in begun:
                     continue
                 s = begun[i]
-                lane = _Lane(i, methods[i], configs[i], rngs[i], updater, f.value(s.y),
-                             _key(s.x, s.y, s.lam))
+                lane = _Lane(i, methods[i], configs[i], rngs[i], updater, f.value(s.y))
                 lane.trace.record(0, lagrangian(lane, s.x, s.y, s.lam), lane.f_y0, 0.0, 0)
                 if configs[i].max_iters:
                     lanes.append(lane)
                     starts.append(s)
                 else:
-                    finish(lane, s, math.inf, 0)
+                    finish(lane, s, [lane.f_y0], math.inf, 0, 0, 0)
 
-        X, Y, Lam = (np.array([getattr(s, k) for s in starts]).reshape(len(lanes), d)
+        n, cfgs = len(lanes), [lane.config for lane in lanes]
+        X, Y, Lam = (np.array([getattr(s, k) for s in starts]).reshape(n, d)
                      for k in ("x", "y", "lam"))
-        rho = np.array([[lane.config.rho] for lane in lanes])
-        radius = np.array([[lane.config.beta / lane.config.rho] for lane in lanes])
-        soft = np.array([[lane.method == "admm-s"] for lane in lanes])
-        solves, t = None, 0
+        w = max([min(c.window, c.max_iters + 1) for c in cfgs], default=1)
+        zeros = [np.zeros(n, dtype=np.int64) for _ in range(5)]
+        col = types.SimpleNamespace(  # named arrays, one row per lane
+            rho=np.array([[c.rho] for c in cfgs]),
+            radius=np.array([[c.beta / c.rho if lane.method == "admm-s" else np.nan]
+                             for c, lane in zip(cfgs, lanes)]),
+            # admm-r lanes; those still looking for a cycle
+            masked=np.array([lane.method == "admm-r" for lane in lanes], dtype=bool),
+            restarts=np.array([lane.method == "admm-r" for lane in lanes], dtype=bool),
+            # a ring: f(y) after the t-th step sits in column t % w
+            window=np.repeat(np.array([lane.f_y0 for lane in lanes])[:, None], w, axis=1),
+            # iteration count t + off; the t at which y last changed; a found
+            # cycle's period; Brent's method: the t of the saved iterate, the
+            # gap at which it moves on (0: no longer looking), and the iterate
+            off=zeros[0], moved=zeros[1], period=zeros[2], since=zeros[3], power=zeros[4] + 1,
+            saved_x=np.empty((n, d)), saved_y=np.empty((n, d)), saved_lam=np.empty((n, d)),
+            saved_sum=np.full((n, d), np.nan),
+            # the t of the lane's next trace row or last iteration, and of its next event
+            record_at=np.array([min(c.trace_stride, c.max_iters) for c in cfgs], dtype=np.int64),
+            wake=np.ones(n, dtype=np.int64),
+        )
+        if col.masked.any():  # a block of masks per lane, all True on the other lanes
+            col.masks = np.ones((n, _MASK_BLOCK, d), dtype=bool)
+        cycle_rows: dict = {}  # lane -> (iterations to skip, trace rows of its last cycle)
+        shared, t = None, 0
 
         while lanes:
-            if solves is None:  # the lanes changed: what their rows share
-                solves = _solver_blocks(lanes)
-                masked = [pos for pos, lane in enumerate(lanes) if lane.method == "admm-r"]
-                soft_rows = soft if soft.any() else None
+            if shared is None:  # the lanes changed: what their rows share
+                soft = not np.isnan(col.radius).all()
+                shared = _Rows([lane.updater for lane in lanes], col.radius if soft else None)
+                masked = np.flatnonzero(col.masked).tolist()
+                diff = np.zeros((3, len(lanes), d), dtype=bool)
+                restarting = bool(col.restarts.any())
             t += 1
-            Xp, Yp, masks = X, Y, None
+            masks = None
             if masked:
-                masks = np.ones((len(lanes), d), dtype=bool)
-                for pos in masked:
-                    lane = lanes[pos]
-                    masks[pos] = lane.rng.bernoulli(lane.config.mask_prob, d)
+                k = (t - 1) % _MASK_BLOCK
+                for pos in masked if k == 0 else ():
+                    mask_prob = lanes[pos].config.mask_prob
+                    col.masks[pos] = lanes[pos].rng.bernoulli(mask_prob, (_MASK_BLOCK, d))
+                masks = col.masks[:, k]
+            Xp, Yp, Lp = X, Y, Lam
             X, Y, Lam, inner, y_hat, fys, errors = _step_lanes(
-                f, dset, X, Y, Lam, rho, solves, masks, radius, soft_rows
+                f, dset, X, Y, Lam, col.rho, shared, masks
             )
+            col.window[:, t % w] = fys
+            # one reduction: did y move; does x + lambda differ from the saved
+            # iterate's (a repeat has the same sum; NaN before the first save);
+            # does the projection differ from the old y
+            np.not_equal(Y, Yp, out=diff[0])
+            np.not_equal(np.add(X, Lam), col.saved_sum, out=diff[1])
+            if restarting:
+                np.not_equal(y_hat.view(np.uint64), Yp.view(np.uint64), out=diff[2])
+            moved, differs, restart = np.logical_or.reduce(diff, axis=2)
+            col.moved[moved] = t
+            if restarting:
+                # the mask decided y, so the step was not a function of the state
+                restart &= col.restarts
+                differs |= restart
+                col.since[restart], col.power[restart], col.wake[restart] = t, 1, t + 1
+                np.minimum(col.wake, col.record_at, out=col.wake)
+            # due: the lane's event is now, or it may repeat its saved iterate
+            due = np.greater_equal(col.wake == t, differs)
             ended = set(errors)  # lanes that fail or spend their budget at this t
             for pos, exc in errors.items():
-                outcomes[lanes[pos].i] = exc.at(t + lanes[pos].off)
+                outcomes[lanes[pos].i] = exc.at(t + int(col.off[pos]))
 
-            # bits of the rows, for the comparisons below
-            xb, yb, ypb, yhb = X.tobytes(), None, None, None
-            if masked:
-                yhb, ypb = y_hat.tobytes(), Yp.tobytes()
-            for pos, lane in enumerate(lanes):
+            for pos in due.nonzero()[0].tolist():
                 if pos in ended:
                     continue
-                c, fy = lane.config, fys[pos]
-                row_bytes = slice(pos * w, pos * w + w)
-                if fy != lane.window[-1]:
-                    lane.moved = t
-                else:  # an equal f(y) needs a look at y itself
-                    yb, ypb = yb or Y.tobytes(), ypb or Yp.tobytes()
-                    if yb[row_bytes] != ypb[row_bytes] and not np.array_equal(Y[pos], Yp[pos]):
-                        lane.moved = t
-                lane.window.append(fy)
-                r = t + lane.off
+                lane = lanes[pos]
+                c, off, fy = lane.config, int(col.off[pos]), float(fys[pos])
+                r, collecting = t + off, lane in cycle_rows
                 on_stride = r % c.trace_stride == 0 or r == c.max_iters
-                collecting = lane.skip > 0
                 if on_stride or collecting:
                     x, y, lam = X[pos], Y[pos], Lam[pos]
-                    row = (
-                        lagrangian(lane, x, y, lam),
-                        fy,
-                        float(np.linalg.norm(x - y)),
-                        0 if inner is None else int(inner[pos]),
-                    )
+                    row = (lagrangian(lane, x, y, lam), fy, float(np.linalg.norm(x - y)),
+                           0 if inner is None else int(inner[pos]))
                     if on_stride:
                         lane.trace.record(r, *row)
                     if collecting:
-                        lane.rows.append(row)
-                        if len(lane.rows) == lane.period:
+                        (skip, rows), period = cycle_rows[lane], int(col.period[pos])
+                        rows.append(row)
+                        if len(rows) == period:
                             # rows repeat by phase; the last `period` rows are one cycle
-                            stride, skip = c.trace_stride, lane.skip
+                            stride = c.trace_stride
                             for j in range(r - r % stride + stride, r + skip + 1, stride):
-                                lane.trace.record(j, *lane.rows[(j - r - 1) % lane.period])
-                            if t - lane.moved >= lane.period:  # y was constant over the cycle
-                                lane.moved -= skip
-                            lane.off, lane.skip = lane.off + skip, 0
-                            r += skip
-                if not collecting and lane.saved is not None:
-                    gap = t - lane.since
-                    if lane.method == "admm-r" and yhb[row_bytes] != ypb[row_bytes]:
-                        # the mask decided y; the step was not a function of the state
-                        lane.saved, lane.since, lane.power = _key(X[pos], Y[pos], Lam[pos]), t, 1
-                    elif lane.saved.startswith(xb[row_bytes]) and lane.saved == _key(
-                        X[pos], Y[pos], Lam[pos]
-                    ):
-                        lane.period, lane.saved = gap, None
-                        lane.skip = max(0, ((c.max_iters - r - c.window) // gap - 1) * gap)
-                    elif gap == lane.power:
-                        lane.saved, lane.since = _key(X[pos], Y[pos], Lam[pos]), t
-                        lane.power *= 2
-                if r == c.max_iters:
-                    dx = X[pos] - Xp[pos]
-                    state = IterateState(
-                        X[pos].copy(), Y[pos].copy(), Lam[pos].copy(), r,
-                        0 if inner is None else int(inner[pos]),
-                    )
-                    finish(lane, state, math.sqrt(float(dx @ dx)), t - lane.moved)
+                                lane.trace.record(j, *rows[(j - r - 1) % period])
+                            if t - col.moved[pos] >= period:  # y was constant over the cycle
+                                col.moved[pos] -= skip
+                            off, r = off + skip, r + skip
+                            col.off[pos] = off
+                            del cycle_rows[lane]
+                power = int(col.power[pos])
+                if power and not collecting and not restart[pos]:
+                    gap = t - int(col.since[pos])
+                    # the iterate saved one step ago is the previous one
+                    saved = (Xp, Yp, Lp) if gap == 1 else (col.saved_x, col.saved_y, col.saved_lam)
+                    if all(now[pos].tobytes() == then[pos].tobytes()
+                           for now, then in zip((X, Y, Lam), saved)):
+                        col.period[pos], col.saved_sum[pos], col.restarts[pos] = gap, np.nan, False
+                        restarting = bool(col.restarts.any())
+                        diff[2] &= restarting
+                        power, skip = 0, max(0, ((c.max_iters - r - c.window) // gap - 1) * gap)
+                        if skip:
+                            cycle_rows[lane] = (skip, [])
+                    elif gap == power:
+                        col.saved_x[pos], col.saved_y[pos] = X[pos], Y[pos]
+                        col.saved_lam[pos], col.saved_sum[pos] = Lam[pos], X[pos] + Lam[pos]
+                        col.since[pos], power = t, 2 * gap
+                    col.power[pos] = power
+                if r >= c.max_iters:
+                    dx, ks = X[pos] - Xp[pos], range(max(0, t + 1 - c.window), t + 1)
+                    state = IterateState(X[pos].copy(), Y[pos].copy(), Lam[pos].copy(), r,
+                                         0 if inner is None else int(inner[pos]))
+                    finish(lane, state, col.window[pos, [k % w for k in ks]].tolist(),
+                           math.sqrt(float(dx @ dx)), t - int(col.moved[pos]), off,
+                           int(col.period[pos]))
                     ended.add(pos)
+                    continue
+                record = min(r - r % c.trace_stride + c.trace_stride, c.max_iters) - off
+                col.record_at[pos] = record = t + 1 if lane in cycle_rows else record
+                col.wake[pos] = min(record, col.since[pos] + power) if power else record
             if ended:
                 keep = [p for p in range(len(lanes)) if p not in ended]
-                X, Y, Lam, rho, radius, soft = (a[keep] for a in (X, Y, Lam, rho, radius, soft))
-                lanes, solves = [lanes[p] for p in keep], None
+                X, Y, Lam = X[keep], Y[keep], Lam[keep]
+                for name, a in vars(col).items():
+                    setattr(col, name, a[keep])
+                lanes, shared = [lanes[p] for p in keep], None
     return outcomes

@@ -274,6 +274,18 @@ class TestOracleFailures:
         with pytest.raises(ValueError, match=r"at member \[2\.0, -1\.0\] \(row 8\)$"):
             brute_force_minimize(f, dset)
 
+    def test_overflowing_gradient_step_names_the_member(self):
+        # x - grad f(x) / rho overflows at every member
+        f = QuadraticObjective([[1e300]], [-1e308])
+        with pytest.raises(ValueError, match=r"^gradient step is not finite at member \[0\.0\] \(row 0\)$"):
+            enumerate_stationary_points(f, uniform_lattice(1, 1e5, 0.0, 1e5), rho=1e-10)
+
+    def test_overflowing_gradient_in_a_later_chunk(self, chunked):
+        # grad f(x) / rho = 2e307 x overflows from x = 9 on, past the first chunks
+        f = QuadraticObjective([[1e307]], [0.0])
+        with pytest.raises(ValueError, match=r"at member \[9\.0\] \(row 9\)$"):
+            enumerate_stationary_points(f, uniform_lattice(1, 1.0, 0.0, 20.0), rho=0.5)
+
     def test_all_infinite_values_take_the_first_member(self):
         f = QuadraticObjective([[1.0]], [0.0])
         f.value_many = lambda X: np.full(len(X), np.inf)

@@ -19,12 +19,12 @@ taken from the projection and in the accuracy of the x-solve; pgd is that
 iteration with a gradient step for a target and no x-solve. It is written
 once, as one step of a batch of independent runs (lanes) held as rows of
 ``(n, d)`` arrays, which alone decides how a lane failed. One batch may mix
-all six methods, since each lane carries its own method and so its own
-y-rule; gd-proj's lanes do not iterate. ``run_lanes`` drives a batch and
-``run`` a single run; both record a :class:`RunTrace` and the best
-objective over a trailing window, and stop a run early once its iterate
-cycles exactly. Each method is also available as a single-step transition
-function.
+all six methods; gd-proj's lanes do not iterate. ``run_lanes`` drives a
+batch, whose bookkeeping (windows, cycle tests, admm-r's masks, drawn in
+blocks from each lane's own stream) is columns too; ``run`` is one lane.
+Both record a :class:`RunTrace` and the best objective over a trailing
+window, and stop a run early once its iterate cycles exactly. Each method
+is also available as a single-step transition function.
 """
 
 from __future__ import annotations
@@ -807,7 +807,7 @@ def run_lanes(
                 restart &= col.restarts
                 differs |= restart
                 col.since[restart], col.power[restart], col.wake[restart] = t, 1, t + 1
-                np.minimum(col.wake, col.record_at, out=col.wake)
+                np.minimum(col.wake, col.record_at, out=col.wake)  # a trace row due now
             # due: the lane's event is now, or it may repeat its saved iterate
             due = np.greater_equal(col.wake == t, differs)
             ended = set(errors)  # lanes that fail or spend their budget at this t
@@ -849,7 +849,7 @@ def run_lanes(
                            for now, then in zip((X, Y, Lam), saved)):
                         col.period[pos], col.saved_sum[pos], col.restarts[pos] = gap, np.nan, False
                         restarting = bool(col.restarts.any())
-                        diff[2] &= restarting
+                        diff[2] &= restarting  # stale flags go once no lane restarts
                         power, skip = 0, max(0, ((c.max_iters - r - c.window) // gap - 1) * gap)
                         if skip:
                             cycle_rows[lane] = (skip, [])

@@ -72,14 +72,18 @@ def is_rho_stationary(
     projection before evaluation, so converged floating-point iterates
     qualify). The product structure makes the argmin separable, so each
     coordinate is tested against the minimal distance achievable for its own
-    scalar set, with absolute tolerance ``tol``.
+    scalar set, with absolute tolerance ``tol``. A gradient step
+    ``x - grad f(x) / rho`` that is not finite raises ValueError.
     """
     _check_rho_tol(rho, tol)
     x = np.asarray(x, dtype=float)
     snapped = dset.project(x)
     if float(np.max(np.abs(x - snapped), initial=0.0)) > membership_tol:
         raise ValueError("x is not a member of the set (projection round-trip failed)")
-    t = snapped - f.gradient(snapped) / rho
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = snapped - f.gradient(snapped) / rho
+    if not np.isfinite(t).all():
+        raise ValueError(f"gradient step is not finite at {snapped.tolist()}")
     candidate = dset.project(t)
     gaps = np.abs(snapped - t) - np.abs(candidate - t)
     slack = float(np.max(gaps))
@@ -164,7 +168,8 @@ def _stationary_rows(
     A member whose gradient step ``x - grad f(x) / rho`` is not finite
     raises ValueError naming it. A trap on overflow and on invalid
     operations finds such a member, so the search for it runs only once
-    the trap fires. A finite step whose gaps overflow fails its test.
+    the trap fires; if every step is finite, the chunk is checked again
+    with the trap off.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -277,7 +277,8 @@ class TestOracleFailures:
     def test_overflowing_gradient_step_names_the_member(self):
         # x - grad f(x) / rho overflows at every member
         f = QuadraticObjective([[1e300]], [-1e308])
-        with pytest.raises(ValueError, match=r"^gradient step is not finite at member \[0\.0\] \(row 0\)$"):
+        text = r"^gradient step is not finite at member \[0\.0\] \(row 0\)$"
+        with pytest.raises(ValueError, match=text):
             enumerate_stationary_points(f, uniform_lattice(1, 1e5, 0.0, 1e5), rho=1e-10)
 
     def test_overflowing_gradient_in_a_later_chunk(self, chunked):

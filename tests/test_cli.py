@@ -379,6 +379,15 @@ class TestCheckStationary:
         )
         assert code == 2
 
+    def test_overflowing_gradient_step_is_usage_error(self, tmp_path, capsys):
+        # grad f(0) / rho = -1e308 / 1e-10 overflows
+        lattice = {"kind": "lattice", "v": 1e5, "a": 0.0, "b": 1e5}
+        path = tmp_path / "ovf.json"
+        path.write_text(json.dumps({"Q": [[1e300]], "b": [-1e308], "set": {"coords": [lattice]}}))
+        argv = ["check-stationary", "--instance", str(path), "--point", "[0]", "--rho", "1e-10"]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", "error: gradient step is not finite at [0.0]\n")
+
 
 class TestBruteforce:
     def test_bounded_enumeration(self, quad2_path, capsys):

@@ -224,8 +224,19 @@ HELD = (
 )
 
 
+# beta / rho underflows to a radius of 0: y stays at z, unless z is on the
+# set and so its own projection
+ZERO_RADIUS = (
+    [("lattice", 1.0, None, None), ("lattice", 0.5, -2, 2)],
+    QuadraticObjective(Q=[[2.0, 0.3], [0.3, 1.0]], b=[0.7, -1.1]),
+    [("admm-s", SolverConfig(rho=1e300, beta=1e-300, max_iters=40, seed=s)) for s in (1, 2)]
+    + [("admm-s", SolverConfig(rho=3.0, beta=0.01, max_iters=40, seed=3))],
+)
+
+
 @given(problems())
 @example(HELD)
+@example(ZERO_RADIUS)
 @settings(max_examples=150, deadline=None, derandomize=True)
 def test_lanes_match_literal_loops(problem):
     specs, f, lanes = problem

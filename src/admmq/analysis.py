@@ -30,7 +30,7 @@ __all__ = [
 ]
 
 _EVAL_CHUNK = 65536
-_GAP_ROWS = 8192
+_BLOCK_ROWS = 8192
 
 
 @dataclass
@@ -106,57 +106,64 @@ def _chunk_ranges(dset: DiscreteProductSet):
         start = stop
 
 
+def _blocks(n: int):
+    """``[a, b)`` of the blocks of a chunk's ``n`` rows, each scored whole while in cache.
+
+    A block keeps the bits of the chunk's products if it takes their BLAS path.
+    So there are ``ceil(n / _BLOCK_ROWS)`` blocks of near-equal size, each but
+    the last a multiple of 4 rows, as OpenBLAS's gemv takes rows 4 at a time,
+    and no short tail, which would go through gemv or a small-matrix GEMM."""
+    k = -(-n // _BLOCK_ROWS)
+    step = 4 * -(-n // (4 * k))  # n / k rows, rounded up to a multiple of 4
+    return ((a, min(a + step, n)) for a in range(0, n, step))
+
+
 def brute_force_minimize(
     f: SmoothObjective, dset: DiscreteProductSet, limit: int = 10_000_000
 ) -> tuple[np.ndarray, float]:
     """Exact global minimum by sweeping every member of the set.
 
     Ties resolve to the lexicographically smallest member (enumeration order).
-    Members are built and scored ``_EVAL_CHUNK`` rows at a time, so memory is
-    O(chunk * dim), and the result is that of scoring every member at once.
-    A NaN objective value raises ValueError naming the first such member.
+    Members are built ``_EVAL_CHUNK`` rows at a time and scored in
+    ``_blocks``, so memory is O(chunk * dim), and the result has the bits of
+    scoring each whole chunk at once. A NaN objective value raises
+    ValueError naming the first such member.
     """
     best, best_val = None, math.inf
     for start, stop in _chunk_ranges(dset):
         chunk = dset.enumerate_members(limit, start, stop)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
-            vals = f.value_many(chunk)
-        nan = np.isnan(vals)
-        if nan.any():
-            i = int(np.argmax(nan))
-            raise ValueError(f"objective is NaN at member {chunk[i].tolist()} (row {start + i})")
-        i = int(np.argmin(vals))
-        # strict < keeps the first (lexicographically smallest) minimizer
-        if best is None or vals[i] < best_val:
-            best, best_val = chunk[i].copy(), float(vals[i])
+        for a, b in _blocks(len(chunk)):
+            with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
+                vals = f.value_many(chunk[a:b])
+            nan = np.isnan(vals)
+            if nan.any():
+                i = a + int(np.argmax(nan))
+                raise ValueError(f"objective is NaN at member {chunk[i].tolist()} "
+                                 f"(row {start + i})")
+            i = int(np.argmin(vals))
+            # strict < keeps the first (lexicographically smallest) minimizer
+            if best is None or vals[i] < best_val:
+                best, best_val = chunk[a + i].copy(), float(vals[i])
     return best, best_val
 
 
 def _stationary_mask(
-    f: SmoothObjective, dset: DiscreteProductSet, chunk: np.ndarray, rho: float, tol: float
+    f: SmoothObjective, dset: DiscreteProductSet, x: np.ndarray, rho: float, tol: float
 ) -> np.ndarray:
-    """Which rows of ``chunk`` are rho-stationary.
-
-    The projection and the gap test act row by row, so they take
-    ``_GAP_ROWS`` rows at a time, in place, with temporaries that stay in
-    cache; the blocking does not change a bit.
-    """
-    targets = f.gradient_many(chunk) / rho
-    np.subtract(chunk, targets, out=targets)
-    stationary = np.empty(len(chunk), dtype=bool)
-    for a in range(0, len(chunk), _GAP_ROWS):
-        x, t, ok = (arr[a : a + _GAP_ROWS] for arr in (chunk, targets, stationary))
-        gaps = dset.project_many(t)  # the nearest members, then the gaps
-        np.subtract(gaps, t, out=gaps)
-        np.abs(gaps, out=gaps)
-        np.subtract(x, t, out=t)
-        np.abs(t, out=t)
-        np.subtract(t, gaps, out=gaps)
-        # every column at most tol; a NaN gap fails its test
-        np.less_equal(gaps[:, 0], tol, out=ok)
-        for j in range(1, dset.dim):
-            ok &= gaps[:, j] <= tol
-    return stationary
+    """Which rows of the block ``x`` are rho-stationary; the temporaries stay in cache."""
+    t = f.gradient_many(x) / rho
+    np.subtract(x, t, out=t)
+    gaps = dset.project_many(t)  # the nearest members, then the gaps
+    np.subtract(gaps, t, out=gaps)
+    np.abs(gaps, out=gaps)
+    np.subtract(x, t, out=t)
+    np.abs(t, out=t)
+    np.subtract(t, gaps, out=gaps)
+    # every column at most tol; a NaN gap fails its test
+    ok = gaps[:, 0] <= tol
+    for j in range(1, dset.dim):
+        ok &= gaps[:, j] <= tol
+    return ok
 
 
 def _stationary_rows(
@@ -165,26 +172,28 @@ def _stationary_rows(
 ) -> np.ndarray:
     """The rho-stationary rows of ``chunk``, whose first row is member ``start``.
 
-    A member whose gradient step ``x - grad f(x) / rho`` is not finite
-    raises ValueError naming it. A trap on overflow and on invalid
-    operations finds such a member, so the search for it runs only once
-    the trap fires; if every step is finite, the chunk is checked again
-    with the trap off.
+    Each ``_blocks`` block is checked whole before the next. A member whose
+    gradient step ``x - grad f(x) / rho`` is not finite raises ValueError
+    naming it. A trap on overflow and on invalid operations finds such a
+    member, so the search for it runs only in a block where the trap fires;
+    if every step there is finite, the block is checked again with the trap
+    off.
     """
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            return chunk[_stationary_mask(f, dset, chunk, rho, tol)]
-    except FloatingPointError:
-        pass
-    with np.errstate(over="ignore", invalid="ignore"):
-        targets = chunk - f.gradient_many(chunk) / rho
-        bad = ~np.isfinite(targets).all(axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(
-                f"gradient step is not finite at member {chunk[i].tolist()} (row {start + i})"
-            )
-        return chunk[_stationary_mask(f, dset, chunk, rho, tol)]
+    ok = np.empty(len(chunk), dtype=bool)
+    for a, b in _blocks(len(chunk)):
+        x = chunk[a:b]
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                ok[a:b] = _stationary_mask(f, dset, x, rho, tol)
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = ~np.isfinite(x - f.gradient_many(x) / rho).all(axis=1)
+                if bad.any():
+                    i = a + int(np.argmax(bad))
+                    raise ValueError(f"gradient step is not finite at member "
+                                     f"{chunk[i].tolist()} (row {start + i})") from None
+                ok[a:b] = _stationary_mask(f, dset, x, rho, tol)
+    return chunk[ok]
 
 
 def enumerate_stationary_points(
@@ -196,10 +205,11 @@ def enumerate_stationary_points(
 ) -> np.ndarray:
     """All members that are rho-stationary, as an (n, dim) array in enumeration order.
 
-    Members are built and checked ``_EVAL_CHUNK`` rows at a time, so memory
-    is O(chunk * dim) beyond the result, and the result is that of checking
-    every member at once. A member whose gradient step ``x - grad f(x) /
-    rho`` overflows raises ValueError naming the member and its row.
+    Members are built ``_EVAL_CHUNK`` rows at a time and checked in
+    ``_blocks``, so memory is O(chunk * dim) beyond the result, and the
+    result has the bits of checking each whole chunk at once. A member whose
+    gradient step ``x - grad f(x) / rho`` overflows raises ValueError
+    naming the member and its row.
     """
     _check_rho_tol(rho, tol)
     keep = [

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -141,6 +142,8 @@ def cmd_solve(args) -> int:
         init_scale=args.init_scale,
         trace_stride=args.trace_stride,
     )
+    if not args.trace:  # nothing writes the trace: record its first and last rows only
+        config = dataclasses.replace(config, trace_stride=max(1, config.max_iters))
     with _prefixed("cannot load instance"):
         inst = _load_instance(args.instance)
     L_f, mu = inst.objective.lipschitz_L, inst.objective.weak_convexity_mu

@@ -601,12 +601,15 @@ def run(
 def _gd_proj(
     f: SmoothObjective, dset: DiscreteProductSet, config: SolverConfig, state: IterateState
 ) -> RunResult:
-    """gd-proj's run: :func:`gd_then_project` from ``state``, or ``state`` at 0 iterations."""
+    """gd-proj's run: :func:`gd_then_project` from ``state``, or ``state`` at 0 iterations;
+    a projected point whose objective is not finite raises :class:`DivergenceError`."""
     f_y0, ok = f.value(state.y), False
     if config.max_iters:
         x, ok = gd_then_project(f, dset, state.x)
         state = IterateState(x=x, y=x.copy(), lam=np.zeros(dset.dim), r=0)
     val = f.value(state.y)
+    if config.max_iters and not math.isfinite(val):
+        raise DivergenceError("non-finite objective")
     trace = RunTrace()
     trace.record(0, val, val, 0.0, 0)
     return RunResult("gd-proj", trace, state, val, f_y0, val, 0.0 if ok else math.inf)
@@ -710,6 +713,8 @@ def run_lanes(
         for i, c in enumerate(configs):
             try:
                 begun[i] = initial_state(dset, c, rngs[i])
+                if methods[i] == "gd-proj":
+                    outcomes[i] = _gd_proj(f, dset, c, begun[i])
             except DivergenceError as exc:
                 outcomes[i] = exc
         # lanes are ordered by x-solver, so that each solver's lanes form a
@@ -717,8 +722,6 @@ def run_lanes(
         groups: dict = {}
         for i, c in enumerate(configs):
             if methods[i] == "gd-proj":
-                if i in begun:
-                    outcomes[i] = _gd_proj(f, dset, c, begun[i])
                 continue
             gamma = c.gamma if methods[i] == "iadmm-q" else None
             key = None if methods[i] == "pgd" else (c.rho, gamma, dataclasses.astuple(c.inner))

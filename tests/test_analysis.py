@@ -205,14 +205,17 @@ def reference_stationary(f, dset, rho, tol=1e-9):
     return np.array(keep).reshape(-1, dset.dim)
 
 
-@pytest.fixture(params=[None, 1, 7, 64], ids=["default", "chunk1", "chunk7", "chunk64"])
+@pytest.fixture(params=[None, (1, 4), (7, 4), (64, 24)],
+                ids=["default", "chunk1", "chunk7", "chunk64"])
 def chunked(request, monkeypatch):
     """The oracles with ``_EVAL_CHUNK`` at its default or at a few small sizes,
-    and ``_GAP_ROWS`` below the chunk length, so that blocks of every kind end
+    and ``_BLOCK_ROWS`` below the chunk length, so that chunks and the blocks
+    each chunk is scored and tested in (a shorter last one included) end
     inside the set."""
     if request.param is not None:
-        monkeypatch.setattr(analysis, "_EVAL_CHUNK", request.param)
-        monkeypatch.setattr(analysis, "_GAP_ROWS", max(1, request.param // 3))
+        chunk, rows = request.param
+        monkeypatch.setattr(analysis, "_EVAL_CHUNK", chunk)
+        monkeypatch.setattr(analysis, "_BLOCK_ROWS", rows)
     return request.param
 
 
@@ -311,6 +314,76 @@ class TestOracleMemory:
         finally:
             tracemalloc.stop()
         assert peak < full_bytes / 2, (peak, full_bytes)
+
+
+class _SpyQuadratic(QuadraticObjective):
+    """A quadratic that records the rows and the result of each batched call."""
+
+    def __init__(self, Q, b):
+        super().__init__(Q, b)
+        self.values, self.gradients = [], []
+
+    def value_many(self, X):
+        self.values.append(super().value_many(X))
+        return self.values[-1]
+
+    def gradient_many(self, X):
+        self.gradients.append(super().gradient_many(X))
+        return self.gradients[-1]
+
+
+class TestOracleBlocks:
+    """Each chunk is scored and tested in blocks of at most ``_BLOCK_ROWS`` rows,
+    with the bits of scoring the whole chunk at once."""
+
+    # 3^11 = 177147 members: chunks of 65536, 65536 and 46075 rows. At d = 11
+    # gemv rounds a row by its place in its group of 4 rows
+    BOX = uniform_lattice(11, 1.0, -1.0, 1.0)
+    # 2731 * 3 = 8193 members, one chunk: 8192-row blocks would leave a 1-row
+    # tail. At d = 17 a 1-row product, and one of a few thousand rows, rounds
+    # differently from the chunk's
+    TAIL = DiscreteProductSet(
+        (ScaledLattice(1.0, -1365.0, 1365.0), ExplicitGrid((-1.0, 0.3, 1.2)))
+        + tuple(ExplicitGrid((0.1 * j + 0.05,)) for j in range(15))
+    )
+
+    @staticmethod
+    def spy(dset, seed, at=None):
+        """A spy on a random quadratic whose continuous minimizer is ``at``."""
+        f = random_psd_quadratic(np.random.default_rng(seed), d=dset.dim)
+        b = f.b if at is None else -f.Q @ at
+        return _SpyQuadratic(f.Q, b)
+
+    @pytest.mark.parametrize("oracle", ["brute_force_minimize", "enumerate_stationary_points"])
+    def test_no_call_exceeds_a_block(self, oracle):
+        f = self.spy(self.BOX, 24)
+        if oracle == "brute_force_minimize":
+            brute_force_minimize(f, self.BOX)
+        else:
+            enumerate_stationary_points(f, self.BOX, 0.1 * f.lipschitz_L)
+        rows = [len(v) for v in f.values + f.gradients]
+        assert sum(rows) == self.BOX.cardinality()
+        assert 2 <= min(rows) and max(rows) <= analysis._BLOCK_ROWS, rows
+
+    @pytest.mark.parametrize("dset", [BOX, TAIL], ids=["box", "tail"])
+    def test_blocks_have_the_bits_of_whole_chunks(self, dset):
+        # the minimizer is the last member, which a 1-row tail would score
+        f = self.spy(dset, 25, at=dset.enumerate_members(start=dset.cardinality() - 1)[0])
+        rho = 0.5 * f.lipschitz_L
+        argmin, value = brute_force_minimize(f, dset)
+        points = enumerate_stationary_points(f, dset, rho)
+        # each whole chunk, scored at once
+        plain, members = QuadraticObjective(f.Q, f.b), dset.enumerate_members()
+        chunks = [members[a:b] for a, b in analysis._chunk_ranges(dset)]
+        ref_vals = np.concatenate([plain.value_many(chunk) for chunk in chunks])
+        ref_grads = np.vstack([plain.gradient_many(chunk) for chunk in chunks])
+        for got, ref in ((f.values, ref_vals), (f.gradients, ref_grads)):
+            np.testing.assert_array_equal(np.concatenate(got).view(np.uint64), ref.view(np.uint64))
+        i = int(np.argmin(ref_vals))
+        assert (argmin.tolist(), repr(value)) == (members[i].tolist(), repr(float(ref_vals[i])))
+        targets = members - ref_grads / rho
+        gaps = np.abs(members - targets) - np.abs(dset.project_many(targets) - targets)
+        np.testing.assert_array_equal(points, members[(gaps <= 1e-9).all(axis=1)])
 
 
 class TestParameterConditions:

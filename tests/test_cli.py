@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from admmq import cli
 from admmq.cli import main
-from admmq.solvers import METHODS
+from admmq.solvers import METHODS, run
 
 INT_LATTICE = {"coords": [{"kind": "lattice", "v": 1.0, "a": None, "b": None}]}
 
@@ -27,6 +28,9 @@ QUAD_2D = {
     "b": [-1.2, 2.6],
     "set": {"coords": [{"kind": "lattice", "v": 1.0, "a": None, "b": None}] * 2},
 }
+
+# gd-proj's projected point scores inf - inf = NaN
+HUGE_B_2D = dict(QUAD_2D, id="huge-b", Q=[[1.0, 0.5], [0.5, 2.0]], b=[3e307, -3e307])
 
 
 @pytest.fixture
@@ -184,6 +188,14 @@ class TestSolve:
         )
         assert code == 3
 
+    def test_gd_proj_non_finite_objective_exits_three(self, tmp_path, capsys):
+        inst = tmp_path / "huge-b.json"
+        inst.write_text(json.dumps(HUGE_B_2D))
+        code = main(["solve", "--instance", str(inst), "--algorithm", "gd-proj", "--rho", "1",
+                     "--iters", "10", "--seed", "1"])
+        assert code == 3
+        assert capsys.readouterr().err == "error: run diverged: non-finite objective\n"
+
     def test_overflowing_start_exits_three(self, tmp_path, capsys):
         inst = tmp_path / "d16-s3.json"
         assert main(["generate", "--d", "16", "--seed", "3", "--out", str(inst)]) == 0
@@ -191,6 +203,13 @@ class TestSolve:
                      "--rho", "1000", "--init-scale", "1e308"])
         assert code == 3
         assert capsys.readouterr().err == "error: run diverged: non-finite start at iteration 0\n"
+
+    def test_no_trace_file_keeps_first_and_last_rows(self, demo_path, monkeypatch, capsys):
+        results = []
+        monkeypatch.setattr(cli, "run", lambda *args: results.append(run(*args)) or results[-1])
+        solve_json(capsys, "--instance", demo_path, "--algorithm", "admm-q",
+                   "--rho", "2", "--iters", "50")
+        assert [row[0] for row in results[0].trace.rows] == [0, 50]
 
     def test_trace_written(self, demo_path, tmp_path, capsys):
         trace = tmp_path / "trace.csv"
@@ -482,6 +501,18 @@ class TestSweep:
         hist = out1 / "hist_admm-q_minus_pgd.csv"
         assert hist.exists()
         assert hist.read_text().splitlines()[0] == "bin_left,bin_right,count"
+
+    def test_gd_proj_non_finite_objective_is_diverged(self, tmp_path):
+        inst_dir = tmp_path / "instances"
+        inst_dir.mkdir()
+        (inst_dir / "huge-b.json").write_text(json.dumps(HUGE_B_2D))
+        protocol = tmp_path / "protocol.json"
+        protocol.write_text(json.dumps({"n_inits": 2}))
+        code = main(["sweep", "--instances", str(inst_dir), "--protocol", str(protocol),
+                     "--algorithms", "gd-proj", "--out", str(tmp_path / "out")])
+        assert code == 0
+        rows = list(csv.DictReader((tmp_path / "out" / "runs.csv").read_text().splitlines()))
+        assert [(r["best_objective"], r["diverged"]) for r in rows] == [("nan", "1")] * 2
 
     def test_non_finite_instance_fails(self, tmp_path, capsys):
         inst_dir = tmp_path / "instances"

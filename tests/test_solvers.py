@@ -951,6 +951,13 @@ class TestDivergenceTexts:
             text, iteration = text.rsplit(" at iteration", 1)[0], -1
         assert (str(info.value), info.value.iteration) == (text, iteration)
 
+    def test_gd_proj_non_finite_objective(self):
+        # the projected point of the unconstrained minimum scores inf - inf
+        f = QuadraticObjective([[1.0, 0.5], [0.5, 2.0]], [3e307, -3e307])
+        with pytest.raises(DivergenceError) as info:
+            run("gd-proj", f, uniform_lattice(2, 1.0), SolverConfig(seed=1, max_iters=10))
+        assert (str(info.value), info.value.iteration) == ("non-finite objective", -1)
+
     def test_step_names_the_iteration_it_makes(self):
         # lambda/rho overflows, so the target of the step from r = 5 is not finite
         state = dataclasses.replace(state_1d(0.0, 0.0, -1e308), r=5)

@@ -10,6 +10,7 @@ numbers, so built-in objectives compute them instead of trusting the caller.
 from __future__ import annotations
 
 import abc
+import math
 
 import numpy as np
 from scipy.special import expit
@@ -153,7 +154,8 @@ class LogisticObjective(SmoothObjective):
     """Mean logistic loss of a linear classifier with +-1 labels.
 
     f(w) = (1/N) sum_i log(1 + exp(-y_i <w, x_i>)), computed overflow-safely.
-    Convex, so mu = 0; L = lambda_max(X'X) / (4N).
+    Convex, so mu = 0; L = lambda_max(X'X) / (4N). The rows ``y_i x_i`` are
+    kept once: a sign flip is exact, so ``A w`` has the bits of ``y * (X w)``.
     """
 
     def __init__(self, features, labels):
@@ -165,15 +167,22 @@ class LogisticObjective(SmoothObjective):
             raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
         if not np.all(np.isin(y, (-1.0, 1.0))):
             raise ValueError("labels must all be -1 or +1")
+        if not np.all(np.isfinite(X)):
+            raise ValueError("features must be finite")
         self.features = X
         self.labels = y
+        self._signed = y[:, None] * X
         self.n_samples, self.dim = X.shape
-        gram = X.T @ X
-        self.lipschitz_L = float(np.linalg.eigvalsh(gram)[-1]) / (4.0 * self.n_samples)
+        with np.errstate(over="ignore", invalid="ignore"):  # entries near the largest double
+            gram = X.T @ X
+            top = np.linalg.eigvalsh(gram)[-1] if np.all(np.isfinite(gram)) else np.inf
+        self.lipschitz_L = float(top) / (4.0 * self.n_samples)
+        if not math.isfinite(self.lipschitz_L):
+            raise ValueError("the Lipschitz constant of the gradient overflows a double")
         self.weak_convexity_mu = 0.0
 
     def _margins(self, w) -> np.ndarray:
-        return self.labels * (self.features @ w)
+        return self._signed @ w
 
     def value(self, w) -> float:
         w = self._check_dim(w)
@@ -182,12 +191,11 @@ class LogisticObjective(SmoothObjective):
     def gradient(self, w) -> np.ndarray:
         w = self._check_dim(w)
         s = expit(-self._margins(w))  # sigma(-y_i <w, x_i>)
-        return -(self.features.T @ (self.labels * s)) / self.n_samples
+        return -(self._signed.T @ s) / self.n_samples
 
     def value_many(self, W) -> np.ndarray:
         W = np.asarray(W, dtype=float)
-        margins = (W @ self.features.T) * self.labels
-        return np.mean(np.logaddexp(0.0, -margins), axis=1)
+        return np.mean(np.logaddexp(0.0, -(W @ self._signed.T)), axis=1)
 
     @classmethod
     def from_csv(cls, path) -> "LogisticObjective":

@@ -105,7 +105,9 @@ class InnerSolverConfig:
 
     ``max_inner_iters`` caps the gradient steps per x-update, and
     ``abs_grad_tol`` is an absolute gradient floor that accepts the point
-    even when the relative certificate's right-hand side is 0. The exact
+    even when the relative certificate's right-hand side is 0. Both bind
+    every certified descent: iadmm-q's constant step and the
+    Barzilai-Borwein steps of a non-quadratic's exact x-update. The exact
     x-update of a quadratic, a cached Cholesky solve, ignores both.
     """
 
@@ -213,12 +215,18 @@ class _CertifiedGdX:
     bound into the relative-accuracy guarantee
     ``||x - x_star|| <= gamma * min(||x - y||, ||x - x_prev||)``; with
     gamma = 0 only the absolute floor remains and the update is exact to
-    within ``abs_grad_tol / sigma(rho)``. The step ``2 / (sigma + rho + L_f)``
-    is the optimal constant step for a ``sigma``-strongly-convex,
-    ``(rho + L_f)``-smooth function.
+    within ``abs_grad_tol / sigma(rho)``. The first step is
+    ``2 / (sigma + rho + L_f)``, the optimal constant step for a
+    ``sigma``-strongly-convex, ``(rho + L_f)``-smooth function. iadmm-q
+    (gamma a number) keeps it: it returns the first certified point, so its
+    step rule decides its output. The exact x-update (``gamma=None``) takes
+    Barzilai-Borwein steps ``s's / s'dg`` (IMA J. Numer. Anal. 1988), with s
+    the last move and dg the change in grad L: kept while ``s'dg <= 0`` and
+    clipped to ``[1/(rho + L_f), 1/sigma]``, where the curvature of L holds
+    the ratio already, so the clip only catches rounding.
     """
 
-    def __init__(self, f: SmoothObjective, rho: float, gamma: float, inner: InnerSolverConfig):
+    def __init__(self, f: SmoothObjective, rho: float, gamma, inner: InnerSolverConfig):
         sigma = rho - f.weak_convexity_mu
         if sigma <= 0:
             raise SolverError(
@@ -227,14 +235,17 @@ class _CertifiedGdX:
             )
         self._f = f
         self._rho = rho
-        self._gamma = gamma
+        self._gamma = gamma or 0.0
         self._sigma = sigma
         self._tol = inner.abs_grad_tol
         self._max_iters = inner.max_inner_iters
         self._step = 2.0 / (sigma + rho + f.lipschitz_L)
+        # Barzilai-Borwein's bounds, for the exact x-update only
+        self._clip = (1.0 / (rho + f.lipschitz_L), 1.0 / sigma) if gamma is None else None
 
     def solve(self, y_new, lam, x_prev):
         x = np.array(x_prev, dtype=float, copy=True)
+        step, last = self._step, None
         for it in range(self._max_iters + 1):
             g = self._f.gradient(x) + lam + self._rho * (x - y_new)
             gn = float(np.linalg.norm(g))
@@ -249,7 +260,15 @@ class _CertifiedGdX:
                 return x, it
             if it == self._max_iters:
                 break
-            x = x - self._step * g
+            if last is not None:
+                s, dg = x - last[0], g - last[1]
+                curv = float(s @ dg)
+                if curv > 0:
+                    # max(lo, nan) is lo: an overflowing ratio takes the short step
+                    step = min(self._clip[1], max(self._clip[0], float(s @ s) / curv))
+            if self._clip:
+                last = (x, g)
+            x = x - step * g
             if not np.all(np.isfinite(x)):
                 raise DivergenceError("non-finite iterate in inner gradient descent")
         raise InnerSolverError(
@@ -267,13 +286,14 @@ def build_x_update(
     """Construct the per-run x-minimizer; the method decides which one.
 
     ``gamma=None`` asks for the exact x-update (admm-q, admm-r, admm-s): a
-    cached Cholesky solve for a quadratic, certified gradient descent at the
-    absolute floor otherwise. A number (iadmm-q) asks for gradient descent
-    certified to relative accuracy ``gamma``.
+    cached Cholesky solve for a quadratic, otherwise certified gradient
+    descent at the absolute floor with Barzilai-Borwein steps. A number
+    (iadmm-q) asks for gradient descent with the constant step, certified to
+    relative accuracy ``gamma``.
     """
     if gamma is None and isinstance(f, QuadraticObjective):
         return _ClosedFormX(f, rho)
-    return _CertifiedGdX(f, rho, gamma or 0.0, inner or InnerSolverConfig())
+    return _CertifiedGdX(f, rho, gamma, inner or InnerSolverConfig())
 
 
 class _Rows:

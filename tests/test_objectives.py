@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from conftest import fd_gradient, random_psd_quadratic
 from admmq.objectives import (
@@ -192,6 +193,36 @@ class TestLogistic:
     def test_labels_validated(self):
         with pytest.raises(ValueError, match="-1 or \\+1"):
             LogisticObjective(features=[[1.0]], labels=[0.5])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="^features must be finite$"):
+            LogisticObjective(features=[[bad, 1.0], [1.0, 2.0]], labels=[1.0, -1.0])
+
+    @pytest.mark.parametrize("big", [1e155, 1e200, -1e300])
+    def test_overflowing_lipschitz_rejected(self, big):
+        # X'X overflows: lipschitz_L would be inf or nan, and the solvers' steps 0 or nan
+        with pytest.raises(ValueError, match="^the Lipschitz constant of the gradient overflows a double$"):
+            LogisticObjective(features=[[big, 1.0], [1.0, 2.0]], labels=[1.0, -1.0])
+
+    def test_largest_finite_lipschitz_is_kept(self):
+        f = LogisticObjective(features=[[1e154, 0.0], [0.0, 1.0]], labels=[1.0, -1.0])
+        assert f.lipschitz_L == pytest.approx(1e308 / 8, rel=1e-12)
+
+    @pytest.mark.parametrize("n, d", [(7, 1), (60, 5), (2000, 64)])
+    def test_signed_rows_keep_the_bits(self, n, d):
+        # the signed rows y_i x_i, kept once, against the formulas that flip signs per call
+        f = synthetic_logistic(n, d, seed=n)
+        X, y = f.features, f.labels
+        rng = np.random.default_rng(d)
+        W = rng.standard_normal((9, d)) * np.array([0.01, 1.0, 30.0]).repeat(3)[:, None]
+        for w in W:
+            margins = y * (X @ w)
+            assert f.value(w).hex() == float(np.mean(np.logaddexp(0.0, -margins))).hex()
+            assert f.gradient(w).tobytes() == (-(X.T @ (y * expit(-margins))) / n).tobytes()
+        for k in (1, 5, 9):
+            want = np.mean(np.logaddexp(0.0, -((W[:k] @ X.T) * y)), axis=1)
+            assert f.value_many(W[:k]).tobytes() == want.tobytes()
 
     def test_convex_with_standard_smoothness_bound(self):
         f = synthetic_logistic(100, 4, seed=2)

@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from conftest import random_psd_quadratic
+from test_reference import certified_descent
 from admmq.experiments import InstanceSpec, generate_instance
 from admmq.objectives import QuadraticObjective, SmoothObjective, synthetic_logistic
 from admmq.rng import RunRng
-from admmq.sets import binary_set, uniform_lattice
+from admmq.sets import DiscreteProductSet, ExplicitGrid, binary_set, uniform_lattice
 from admmq import solvers
 from admmq.solvers import (
     METHODS,
@@ -463,6 +464,98 @@ class TestXSolverRule:
     def test_logistic_descends_for_every_method(self, method):
         f = synthetic_logistic(50, 6, seed=4)
         assert self.inner_iters(method, f, binary_set(6), gamma=0.05).max() > 0
+
+
+class _ConstantStepX:
+    """The x-update as literal constant-step certified descent, as the parent code took it."""
+
+    def __init__(self, f, rho, inner=None, gamma=None):
+        self.f = f
+        self.config = SolverConfig(rho=rho, gamma=gamma or 0.0, inner=inner or InnerSolverConfig())
+
+    def solve(self, y, lam, x_prev):
+        return certified_descent(self.f, self.config, x_prev, y, lam, -1), 0
+
+
+def logistic_sets(d):
+    grid16 = ExplicitGrid(tuple(np.linspace(-1.0, 1.0, 16)))
+    return {"binary": binary_set(d), "grid16": DiscreteProductSet(coords=(grid16,) * d),
+            "lattice": uniform_lattice(d, 0.25)}
+
+
+class TestBarzilaiBorwein:
+    """The exact x-update of a non-quadratic takes Barzilai-Borwein steps.
+
+    It stops at the same certificate as the constant step, and projection
+    absorbs the difference below ``abs_grad_tol / sigma``: admm-q's and
+    admm-r's y and objectives keep every bit, admm-s's are close, and
+    iadmm-q keeps the constant step, so its x does too.
+    """
+
+    LANES = [(m, factor, seed) for m in ("admm-q", "admm-r", "admm-s", "iadmm-q")
+             for factor in (0.003, 0.1, 1.0, 6.0) for seed in (0, 1)]
+
+    @pytest.mark.parametrize("n, d", [(50, 6), (200, 12)])
+    @pytest.mark.parametrize("set_name", ["binary", "grid16", "lattice"])
+    def test_matches_constant_step(self, monkeypatch, n, d, set_name):
+        f, dset = synthetic_logistic(n, d, seed=d), logistic_sets(d)[set_name]
+        methods = [m for m, _, _ in self.LANES]
+        configs = [SolverConfig(rho=factor * f.lipschitz_L, gamma=0.05 if m == "iadmm-q" else 0.0,
+                                mask_prob=0.9, beta=0.1, max_iters=12, window=5, seed=seed)
+                   for m, factor, seed in self.LANES]
+        real, norms = solvers.build_x_update, []
+
+        def checked(f, rho, inner=None, gamma=None):
+            x_update = real(f, rho, inner, gamma)
+            solve, tol = x_update.solve, (inner or InnerSolverConfig()).abs_grad_tol
+
+            def certified(y, lam, x_prev):
+                x, it = solve(y, lam, x_prev)
+                if gamma is None:  # every exact x meets the absolute floor
+                    norms.append(float(np.linalg.norm(f.gradient(x) + lam + rho * (x - y))) / tol)
+                return x, it
+
+            x_update.solve = certified
+            return x_update
+
+        monkeypatch.setattr(solvers, "build_x_update", checked)
+        got = run_lanes(methods, f, dset, configs)
+        monkeypatch.setattr(solvers, "build_x_update", _ConstantStepX)
+        want = run_lanes(methods, f, dset, configs)
+        assert norms and max(norms) <= 1.0
+        for m, g, w in zip(methods, got, want, strict=True):
+            assert not isinstance(g, SolverError) and not isinstance(w, SolverError), (m, g, w)
+            objectives = [(g.best_objective, w.best_objective), (g.final_objective, w.final_objective)]
+            if m == "admm-s":
+                np.testing.assert_allclose(g.state.y, w.state.y, rtol=1e-9, atol=1e-9)
+                np.testing.assert_allclose(*zip(*objectives), rtol=1e-9)
+                continue
+            assert_same_bits(g.state.y, w.state.y)
+            for a, b in objectives:
+                assert_same_bits(a, b)
+            if m == "iadmm-q":
+                assert_same_bits(g.state.x, w.state.x)
+
+    def test_steps_follow_local_curvature(self):
+        # iadmm-q at gamma 0 is the constant step under the same certificate
+        f = synthetic_logistic(500, 32, seed=2)
+        cfg = SolverConfig(rho=0.01 * f.lipschitz_L, max_iters=10, seed=0)
+        exact, constant = (run(m, f, binary_set(32), cfg) for m in ("admm-q", "iadmm-q"))
+        assert_same_bits(exact.state.y, constant.state.y)
+        steps = [r.trace.as_arrays()["inner_iters"].sum() for r in (exact, constant)]
+        assert 0 < steps[0] <= steps[1] / 3, steps
+
+    @pytest.mark.parametrize("rho", [1.0, 3.0, 40.0])
+    def test_gradient_only_matches_cholesky(self, rho):
+        # INDEFINITE has mu = 0.77: sigma = rho - mu
+        rng = np.random.default_rng(int(rho))
+        exact, descent = build_x_update(INDEFINITE, rho), build_x_update(_GradientOnly(INDEFINITE), rho)
+        tol = InnerSolverConfig().abs_grad_tol
+        for _ in range(20):
+            y, lam, x_prev = 3.0 * rng.standard_normal((3, 3))
+            want, _ = exact.solve((rho * y - lam - INDEFINITE.b)[None])
+            got, steps = descent.solve(y, lam, x_prev)
+            assert np.linalg.norm(got - want[0]) <= tol / (rho - INDEFINITE.weak_convexity_mu)
 
 
 def full_budget_record(method, f, dset, config):

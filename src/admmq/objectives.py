@@ -155,14 +155,15 @@ class LogisticObjective(SmoothObjective):
 
     f(w) = (1/N) sum_i log(1 + exp(-y_i <w, x_i>)), computed overflow-safely.
     Convex, so mu = 0; L = lambda_max(X'X) / (4N). The rows ``y_i x_i`` are
-    kept once: a sign flip is exact, so ``A w`` has the bits of ``y * (X w)``.
+    kept once; a sign flip is exact, so their products keep the bits of
+    flipping the signs of products with X.
     """
 
     def __init__(self, features, labels):
         X = np.asarray(features, dtype=float)
         y = np.asarray(labels, dtype=float)
-        if X.ndim != 2:
-            raise ValueError(f"features must be 2-D, got shape {X.shape}")
+        if X.ndim != 2 or X.shape[0] == 0:
+            raise ValueError(f"features must be 2-D with at least one row, got shape {X.shape}")
         if y.shape != (X.shape[0],):
             raise ValueError(f"labels have shape {y.shape}, expected ({X.shape[0]},)")
         if not np.all(np.isin(y, (-1.0, 1.0))):

@@ -194,6 +194,12 @@ class TestLogistic:
         with pytest.raises(ValueError, match="-1 or \\+1"):
             LogisticObjective(features=[[1.0]], labels=[0.5])
 
+    @pytest.mark.parametrize("features", [np.zeros(3), np.zeros((0, 3))])
+    def test_features_need_rows(self, features):
+        # no rows: the mean loss and L = lambda_max / (4N) would divide by 0
+        with pytest.raises(ValueError, match="^features must be 2-D with at least one row"):
+            LogisticObjective(features=features, labels=np.zeros(len(features)))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(ValueError, match="^features must be finite$"):

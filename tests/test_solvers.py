@@ -467,7 +467,7 @@ class TestXSolverRule:
 
 
 class _ConstantStepX:
-    """The x-update as literal constant-step certified descent, as the parent code took it."""
+    """Any x-update as a literal constant-step certified descent, the Barzilai-Borwein steps' reference."""
 
     def __init__(self, f, rho, inner=None, gamma=None):
         self.f = f
@@ -554,7 +554,7 @@ class TestBarzilaiBorwein:
         for _ in range(20):
             y, lam, x_prev = 3.0 * rng.standard_normal((3, 3))
             want, _ = exact.solve((rho * y - lam - INDEFINITE.b)[None])
-            got, steps = descent.solve(y, lam, x_prev)
+            got, _ = descent.solve(y, lam, x_prev)
             assert np.linalg.norm(got - want[0]) <= tol / (rho - INDEFINITE.weak_convexity_mu)
 
 

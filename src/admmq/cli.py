@@ -105,7 +105,7 @@ def cmd_generate(args) -> int:
         d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
     )
     inst = generate_instance(spec)
-    Path(args.out).write_text(json.dumps(inst.to_dict(), sort_keys=True, indent=1) + "\n")
+    Path(args.out).write_text(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK
 
 

@@ -11,8 +11,10 @@ the best grid point per algorithm is selected by median.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -48,6 +50,12 @@ __all__ = [
 DEFAULT_RHO_GRID = tuple(10.0**k for k in range(-2, 7))
 DEFAULT_BETA_GRID = tuple(10.0 ** (k / 2.0) for k in range(-10, 11))
 DEFAULT_P_GRID = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
+
+# The least work, runs x d, that a sweep's block must hold for a process pool
+# to pay: a d=16 lane step is mostly fixed cost, so a block of half the runs
+# takes almost as long as all of them. Set from the crossover table of
+# BENCH_19.json, where two blocks of this much work broke even at d=16 to 64.
+_MIN_BLOCK_WORK = 1024
 
 
 @dataclass(frozen=True)
@@ -284,12 +292,15 @@ def _deal(items: list, k: int) -> list[list]:
     return [items[i::k] for i in range(k)]
 
 
-def _openblas(fn: str) -> list:
-    """OpenBLAS's function ``fn`` in each OpenBLAS library this process has mapped.
+@functools.cache
+def _openblas() -> tuple:
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS library this process has mapped.
 
     The libraries are found among the mapped files of Linux's /proc, so
-    elsewhere the list is empty. A file that was deleted since it was mapped,
-    or that cannot be loaded, or that lacks ``fn``, adds nothing.
+    elsewhere the tuple is empty. A file that was deleted since it was mapped,
+    or that cannot be loaded, or that lacks the pair, adds nothing. The scan
+    runs once per process: numpy and scipy, whose libraries it finds, are
+    loaded when this module is.
     """
     paths = set()
     try:
@@ -300,16 +311,22 @@ def _openblas(fn: str) -> list:
                 if "openblas" in path.rsplit("/", 1)[-1] and not path.endswith(" (deleted)"):
                     paths.add(path)
     except OSError:
-        return []
-    funcs = []
+        return ()
+    pairs = []
     for path in sorted(paths):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        names = (f"openblas_{fn}", f"scipy_openblas_{fn}", f"scipy_openblas_{fn}64_")
-        funcs += [getattr(lib, name) for name in names if hasattr(lib, name)][:1]
-    return funcs
+        for name in ("openblas_{}", "scipy_openblas_{}", "scipy_openblas_{}64_"):
+            get = getattr(lib, name.format("get_num_threads"), None)
+            put = getattr(lib, name.format("set_num_threads"), None)
+            if get is not None and put is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                put.argtypes, put.restype = [ctypes.c_int], None
+                pairs.append((get, put))
+                break
+    return tuple(pairs)
 
 
 def _share_cores(workers: int):
@@ -318,16 +335,34 @@ def _share_cores(workers: int):
     OpenBLAS runs a triangular solve of many right-hand sides on several
     threads. With a worker on every core those threads mostly wait for one
     another: the default sweep of the README took 109 s at ``--workers 2``
-    on a 2-vCPU host, and 21 s with one BLAS thread per worker. Where no
-    OpenBLAS is found (see :func:`_openblas`) the threads stay as they are.
+    on a 2-vCPU host, and 21 s with one BLAS thread per worker. A sweep run
+    in-process limits its threads in :func:`_one_blas_thread` instead. Where
+    no OpenBLAS is found (see :func:`_openblas`) the threads stay as they are.
     """
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:
         return
-    for setter in _openblas("set_num_threads"):
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        setter(max(1, cores // workers))
+    for _, put in _openblas():
+        put(max(1, cores // workers))
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Run the body with one OpenBLAS thread, then restore each library's count.
+
+    For the same reason as in :func:`_share_cores`: a sweep run in-process
+    with its default threads leaves them waiting on one another.
+    """
+    libs = _openblas()
+    before = [get() for get, _ in libs]
+    for _, put in libs:
+        put(1)
+    try:
+        yield
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
 
 
 class SweepResult:
@@ -444,11 +479,13 @@ def run_protocol(
     rho, and admm-q runs even when the sweep does not include it.
 
     The runs are the lanes of :func:`~admmq.solvers.run_lanes` calls. All n
-    runs, in plan order, are dealt round-robin into ``min(max_workers, n)``
-    blocks, one call each, so that each block mixes the methods and grid
-    points and the blocks take about equally long. With more than one block
-    the blocks go to a process pool of one worker per block, whose OpenBLAS
-    threads share the cores; records are read back by (algorithm, grid
+    runs, in plan order, are dealt round-robin into as many blocks as their
+    work fills, ``n * d // _MIN_BLOCK_WORK``, but at least one and at most
+    ``max_workers``; one call each, so that each block mixes the methods and
+    grid points and the blocks take about equally long. With more than one
+    block the blocks go to a process pool of one worker per block, whose
+    OpenBLAS threads share the cores; a single block runs in this process
+    with one OpenBLAS thread. Records are read back by (algorithm, grid
     point, init), so results do not depend on scheduling. An unknown or
     repeated algorithm raises ValueError before anything runs.
     """
@@ -471,13 +508,15 @@ def run_protocol(
         if (src, _hyper_key(hyper)) in wanted
         for init_index in range(protocol.n_inits)
     ]
-    tasks = [(instance, block, protocol) for block in _deal(runs, max_workers)]
+    blocks = min(max_workers, len(runs) * instance.objective.dim // _MIN_BLOCK_WORK)
+    tasks = [(instance, block, protocol) for block in _deal(runs, blocks)]
     workers = len(tasks)  # at most max_workers
     if workers > 1:
         with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
             outputs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
-        outputs = [_execute_task(t) for t in tasks]
+        with _one_blas_thread():
+            outputs = [_execute_task(t) for t in tasks]
 
     ran = {(rec.algorithm, rec.hyper, rec.init): rec for recs in outputs for rec in recs}
     records = [

@@ -98,6 +98,21 @@ class TestGenerate:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("d, b_scale", [(1, None), (5, None), (16, 5.0)])
+    def test_file_loads_back_bit_for_bit(self, tmp_path, d, b_scale):
+        from admmq.experiments import InstanceSpec, generate_instance
+
+        spec = InstanceSpec(d=d, v=8.0, sigma_q_sq=30.0, b_scale=b_scale, seed=4)
+        out = tmp_path / "inst.json"
+        flags = [] if b_scale is None else ["--b-scale", repr(b_scale)]
+        assert main(["generate", "--d", str(d), "--seed", "4", *flags, "--out", str(out)]) == 0
+        made, loaded = generate_instance(spec), cli._load_instance(str(out))
+        assert loaded.objective.Q.tobytes() == made.objective.Q.tobytes()
+        assert loaded.objective.b.tobytes() == made.objective.b.tobytes()
+        assert loaded.dset.to_dict() == made.dset.to_dict()
+        assert (loaded.spec, loaded.instance_id) == (spec, made.instance_id)
+        assert out.read_text().count("\n") == 1  # one compact line
+
     def test_rejects_nonpositive_dimension(self, tmp_path):
         code = main(["generate", "--d", "0", "--out", str(tmp_path / "x.json")])
         assert code == 2

@@ -212,10 +212,11 @@ class TestRunProtocol:
         b = run_protocol(inst, ["admm-r"], tiny_protocol())
         assert a.records == b.records
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, real_pool):
         inst = generate_instance(InstanceSpec(d=2, sigma_q_sq=4.0, seed=7))
         serial = run_protocol(inst, ["admm-q", "pgd"], tiny_protocol())
         parallel = run_protocol(inst, ["admm-q", "pgd"], tiny_protocol(), max_workers=2)
+        assert real_pool == [2]
         assert serial.records == parallel.records
 
     def test_zero_iterations_share_initial_objective(self):
@@ -331,9 +332,27 @@ def fake_pool(monkeypatch) -> list:
     return started
 
 
+@pytest.fixture
+def real_pool(monkeypatch) -> list:
+    """Give every sweep of two or more runs a pool of real processes.
+
+    The list collects each pool's worker count.
+    """
+    started = []
+
+    class CountedPool(ProcessPoolExecutor):
+        def __init__(self, max_workers, **kw):
+            started.append(max_workers)
+            super().__init__(max_workers, **kw)
+
+    monkeypatch.setattr(experiments, "_MIN_BLOCK_WORK", 1)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
+    return started
+
+
 def openblas_threads() -> list:
     """The thread count of each OpenBLAS this process has loaded."""
-    return [get() for get in experiments._openblas("get_num_threads")]
+    return [get() for get, _ in experiments._openblas()]
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
@@ -348,7 +367,52 @@ def test_pool_workers_share_the_cores():
         assert counts and set(counts) == {threads}
 
 
-def test_openblas_scan_reads_paths_with_spaces(monkeypatch):
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+def test_in_process_sweep_runs_on_one_blas_thread(monkeypatch):
+    libs = experiments._openblas()
+    if not libs:
+        pytest.skip("no OpenBLAS loaded")
+    inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+    inside = []
+
+    def spy(*args):
+        inside.append(openblas_threads())
+        if len(inside) == 2:
+            raise RuntimeError("a failed block")
+        return run_lanes(*args)
+
+    monkeypatch.setattr(experiments, "run_lanes", spy)
+    before = openblas_threads()
+    try:
+        for _, put in libs:
+            put(2)
+        run_protocol(inst, ["admm-q", "pgd"], tiny_protocol(), max_workers=2)
+        after = openblas_threads()
+        with pytest.raises(RuntimeError, match="a failed block"):
+            run_protocol(inst, ["admm-q"], tiny_protocol())
+        after_failure = openblas_threads()
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
+    assert inside == [[1] * len(libs)] * 2  # one in-process block per sweep
+    assert after == after_failure == [2] * len(libs)
+
+
+@pytest.fixture
+def fresh_openblas_scan():
+    """Scan for OpenBLAS anew in the test, and again after it."""
+    experiments._openblas.cache_clear()
+    yield
+    experiments._openblas.cache_clear()
+
+
+def test_openblas_scan_is_cached(fresh_openblas_scan, monkeypatch):
+    first = experiments._openblas()
+    monkeypatch.setattr(experiments, "open", None, raising=False)  # a second scan would raise
+    assert experiments._openblas() is first
+
+
+def test_openblas_scan_reads_paths_with_spaces(monkeypatch, fresh_openblas_scan):
     maps = [
         "7f0000000000-7f0000001000 r-xp 00000000 08:01 42     /opt/a b/libopenblas.so.0\n",
         "7f0000001000-7f0000002000 r-xp 00000000 08:01 43     /opt/old/libopenblas.so (deleted)\n",
@@ -364,9 +428,11 @@ def test_openblas_scan_reads_paths_with_spaces(monkeypatch):
     monkeypatch.setattr(experiments, "open", lambda path: io.StringIO("".join(maps)),
                         raising=False)
     monkeypatch.setattr(experiments.ctypes, "CDLL", cannot_load)
-    assert experiments._openblas("set_num_threads") == []
+    assert experiments._openblas() == ()
     assert loaded == ["/opt/a b/libopenblas.so.0"]  # the deleted file is not loaded
     experiments._share_cores(2)  # leaves the threads as they are, and raises nothing
+    with experiments._one_blas_thread():  # likewise
+        pass
 
 
 class TestLaneSweep:
@@ -392,7 +458,7 @@ class TestLaneSweep:
             flags = {r.diverged for r in res.records if r.algorithm == alg}
             assert flags == {True, False}, alg
 
-    def test_runs_csv_bytes_independent_of_workers(self, tmp_path):
+    def test_runs_csv_bytes_independent_of_workers(self, tmp_path, real_pool):
         inst = generate_instance(InstanceSpec(d=4, sigma_q_sq=30.0, seed=11))
         protocol = tiny_protocol(
             iters_admm=40, iters_pgd=60, rho_grid=(1e-3, 1.0, 30.0, 1e4),
@@ -404,6 +470,7 @@ class TestLaneSweep:
             path = tmp_path / f"runs-{workers}.csv"
             run_protocol(inst, algorithms, protocol, max_workers=workers).to_csv(path)
             texts.append(path.read_bytes())
+        assert real_pool == [2, 3]
         assert texts[0] == texts[1] == texts[2]
 
     @pytest.mark.parametrize(
@@ -479,16 +546,18 @@ class TestLaneSweep:
         protocol = tiny_protocol(gamma=0.5)
         algorithms = ["pgd", "admm-r", "admm-q", "gd-proj", "iadmm-q"]
         calls = self.spy_lanes(monkeypatch)
-        run_protocol(inst, algorithms, protocol, max_workers=max_workers)
-        k = max_workers
         lanes = self.planned_lanes(inst, protocol, algorithms)
+        k = max_workers
+        # 33 runs at d=3 are 99 of work, which fills k blocks of 99 // k
+        monkeypatch.setattr(experiments, "_MIN_BLOCK_WORK", len(lanes) * 3 // k)
+        run_protocol(inst, algorithms, protocol, max_workers=max_workers)
         assert calls == [lanes[j::k] for j in range(k)]
         assert fake_pool == [k]
 
     @pytest.mark.parametrize("algorithms, n_inits, max_workers, started", [
-        (["gd-proj"], 1, 4, []),  # one task runs in this process
-        (["admm-q", "gd-proj"], 1, 4, [2]),
-        (["admm-q", "admm-s"], 3, 4, [4]),
+        (["gd-proj"], 1, 4, []),  # every sweep here is too small for two blocks
+        (["admm-q", "gd-proj"], 1, 4, []),
+        (["admm-q", "admm-s"], 3, 4, []),
         (["admm-q", "admm-s"], 3, 1, []),
     ])
     def test_pool_starts_one_worker_per_task(self, fake_pool, algorithms, n_inits,
@@ -498,6 +567,48 @@ class TestLaneSweep:
         res = run_protocol(inst, algorithms, protocol, max_workers=max_workers)
         assert fake_pool == started
         assert_records_fresh(res, inst, protocol)
+
+    @pytest.mark.parametrize("block_work, algorithms, n_inits, max_workers, started", [
+        (1, ["gd-proj"], 1, 4, []),  # one run is one block
+        (1, ["admm-q", "gd-proj"], 1, 4, [2]),
+        (1, ["admm-q", "admm-s"], 3, 4, [4]),
+        (6, ["admm-q", "admm-s"], 3, 4, [3]),  # 6 runs at d=3 are 18 of work
+        (7, ["admm-q", "admm-s"], 3, 4, [2]),
+        (10, ["admm-q", "admm-s"], 3, 4, []),
+        (1, ["admm-q", "admm-s"], 3, 1, []),
+    ])
+    def test_pool_starts_one_worker_per_filled_block(self, monkeypatch, fake_pool, block_work,
+                                                     algorithms, n_inits, max_workers, started):
+        monkeypatch.setattr(experiments, "_MIN_BLOCK_WORK", block_work)
+        inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+        protocol = tiny_protocol(n_inits=n_inits, rho_grid=(5.0,))
+        res = run_protocol(inst, algorithms, protocol, max_workers=max_workers)
+        assert fake_pool == started
+        assert_records_fresh(res, inst, protocol)
+
+    def test_small_d16_sweep_starts_no_pool(self, monkeypatch, fake_pool):
+        # the benchmark's sweep: 4 rhos for each of four methods, and gd-proj
+        inst = generate_instance(InstanceSpec(d=16, v=8.0, sigma_q_sq=30.0, seed=1))
+        protocol = tiny_protocol(n_inits=1, rho_grid=(0.1, 10.0, 1e3, 1e5),
+                                 beta_grid=(1.0,), p_grid=(0.9,))
+        algorithms = ["admm-q", "admm-r", "admm-s", "pgd", "gd-proj"]
+        calls = self.spy_lanes(monkeypatch)
+        run_protocol(inst, algorithms, protocol, max_workers=2)
+        assert fake_pool == []
+        assert calls == [self.planned_lanes(inst, protocol, algorithms)]
+        assert len(calls[0]) * 16 < experiments._MIN_BLOCK_WORK
+
+    @pytest.mark.parametrize("blocks, max_workers, started_below, started_at", [
+        (2, 2, [], [2]), (2, 1, [], []), (3, 2, [2], [2]), (3, 4, [2], [3]),
+    ])
+    def test_pool_starts_at_two_filled_blocks(self, fake_pool, blocks, max_workers,
+                                              started_below, started_at):
+        inst = generate_instance(InstanceSpec(d=16, v=8.0, sigma_q_sq=30.0, seed=1))
+        n = blocks * experiments._MIN_BLOCK_WORK // 16  # gd-proj runs: one per init
+        for n_inits, started in ((n - 1, started_below), (n, started_at)):
+            fake_pool.clear()
+            run_protocol(inst, ["gd-proj"], tiny_protocol(n_inits=n_inits), max_workers)
+            assert fake_pool == started, n_inits
 
     def test_binary_sets_equal_fresh_runs(self):
         inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=13))

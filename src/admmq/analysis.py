@@ -9,8 +9,12 @@ exact ties are legitimate (the target can sit exactly between two members).
 
 from __future__ import annotations
 
+import contextvars
 import dataclasses
+import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +33,7 @@ __all__ = [
     "check_iadmm_condition",
 ]
 
-_EVAL_CHUNK = 65536
+_EVAL_CHUNK = 32768
 _BLOCK_ROWS = 8192
 
 
@@ -92,18 +96,49 @@ def is_rho_stationary(
     )
 
 
-def _chunk_ranges(dset: DiscreteProductSet):
+def _chunk_ranges(dset: DiscreteProductSet, limit: int) -> list[tuple[int, int]]:
     """``[start, stop)`` of each ``_EVAL_CHUNK``-row block of the set's members.
 
-    An unbounded set has infinite cardinality and gives one range, which
-    ``enumerate_members`` rejects like a set over the limit.
+    An unbounded set, or one of more than ``limit`` members, raises
+    ValueError as ``enumerate_members`` does.
     """
-    total = dset.cardinality()
-    start = 0
-    while start < total:
-        stop = min(start + _EVAL_CHUNK, total)
-        yield start, stop
-        start = stop
+    dset.enumerate_members(limit, 0, 0)  # the limit and boundedness checks, no rows
+    total = int(dset.cardinality())
+    return [(a, min(a + _EVAL_CHUNK, total)) for a in range(0, total, _EVAL_CHUNK)]
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _map_chunks(task, ranges: list[tuple[int, int]]) -> list:
+    """``task(start, stop)`` for each range, the results in row order.
+
+    The tasks run on ``min(_cores(), len(ranges))`` threads, each in a copy of
+    the caller's context, so numpy's error state carries over; one range, or
+    one core, starts no thread. At most two tasks per thread are in flight,
+    and the results are waited for in row order, so the first failure in row
+    order is the one raised, and a failure stops the tasks not yet started.
+    Every thread has ended when this returns or raises.
+    """
+    threads = min(_cores(), len(ranges))
+    if threads < 2:
+        return [task(a, b) for a, b in ranges]
+    pool = ThreadPoolExecutor(threads)
+    try:
+        pending, results = [], []
+        for a, b in ranges:
+            pending.append(pool.submit(contextvars.copy_context().run, task, a, b))
+            if len(pending) == 2 * threads:
+                results.append(pending.pop(0).result())
+        results.extend(fut.result() for fut in pending)
+        return results
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _blocks(n: int):
@@ -118,6 +153,30 @@ def _blocks(n: int):
     return ((a, min(a + step, n)) for a in range(0, n, step))
 
 
+def _chunk_minimum(
+    f: SmoothObjective, dset: DiscreteProductSet, limit: int, start: int, stop: int
+) -> tuple[np.ndarray, float]:
+    """The first minimizer of members ``[start, stop)`` and its value, scored in ``_blocks``.
+
+    A NaN objective value raises ValueError naming the first such member.
+    """
+    chunk = dset.enumerate_members(limit, start, stop)
+    best, best_val = None, math.inf
+    for a, b in _blocks(len(chunk)):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
+            vals = f.value_many(chunk[a:b])
+        nan = np.isnan(vals)
+        if nan.any():
+            i = a + int(np.argmax(nan))
+            raise ValueError(f"objective is NaN at member {chunk[i].tolist()} "
+                             f"(row {start + i})")
+        i = int(np.argmin(vals))
+        # strict < keeps the first (lexicographically smallest) minimizer
+        if best is None or vals[i] < best_val:
+            best, best_val = chunk[a + i].copy(), float(vals[i])
+    return best, best_val
+
+
 def brute_force_minimize(
     f: SmoothObjective, dset: DiscreteProductSet, limit: int = 10_000_000
 ) -> tuple[np.ndarray, float]:
@@ -125,25 +184,17 @@ def brute_force_minimize(
 
     Ties resolve to the lexicographically smallest member (enumeration order).
     Members are built ``_EVAL_CHUNK`` rows at a time and scored in
-    ``_blocks``, so memory is O(chunk * dim), and the result has the bits of
-    scoring each whole chunk at once. A NaN objective value raises
+    ``_blocks``, one chunk per task on ``min(cores, chunks)`` threads, so
+    memory is O(threads * chunk * dim). The chunks' minima are reduced in row
+    order, so the result has the bits of scoring each whole chunk at once in
+    one thread, whatever the thread count. A NaN objective value raises
     ValueError naming the first such member.
     """
     best, best_val = None, math.inf
-    for start, stop in _chunk_ranges(dset):
-        chunk = dset.enumerate_members(limit, start, stop)
-        for a, b in _blocks(len(chunk)):
-            with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
-                vals = f.value_many(chunk[a:b])
-            nan = np.isnan(vals)
-            if nan.any():
-                i = a + int(np.argmax(nan))
-                raise ValueError(f"objective is NaN at member {chunk[i].tolist()} "
-                                 f"(row {start + i})")
-            i = int(np.argmin(vals))
-            # strict < keeps the first (lexicographically smallest) minimizer
-            if best is None or vals[i] < best_val:
-                best, best_val = chunk[a + i].copy(), float(vals[i])
+    task = functools.partial(_chunk_minimum, f, dset, limit)
+    for x, val in _map_chunks(task, _chunk_ranges(dset, limit)):
+        if best is None or val < best_val:  # strict <, as within a chunk
+            best, best_val = x, val
     return best, best_val
 
 
@@ -167,10 +218,10 @@ def _stationary_mask(
 
 
 def _stationary_rows(
-    f: SmoothObjective, dset: DiscreteProductSet, chunk: np.ndarray, start: int, rho: float,
-    tol: float,
+    f: SmoothObjective, dset: DiscreteProductSet, rho: float, tol: float, limit: int,
+    start: int, stop: int,
 ) -> np.ndarray:
-    """The rho-stationary rows of ``chunk``, whose first row is member ``start``.
+    """The rho-stationary members among ``[start, stop)``.
 
     Each ``_blocks`` block is checked whole before the next. A member whose
     gradient step ``x - grad f(x) / rho`` is not finite raises ValueError
@@ -179,6 +230,7 @@ def _stationary_rows(
     if every step there is finite, the block is checked again with the trap
     off.
     """
+    chunk = dset.enumerate_members(limit, start, stop)
     ok = np.empty(len(chunk), dtype=bool)
     for a, b in _blocks(len(chunk)):
         x = chunk[a:b]
@@ -206,17 +258,16 @@ def enumerate_stationary_points(
     """All members that are rho-stationary, as an (n, dim) array in enumeration order.
 
     Members are built ``_EVAL_CHUNK`` rows at a time and checked in
-    ``_blocks``, so memory is O(chunk * dim) beyond the result, and the
-    result has the bits of checking each whole chunk at once. A member whose
-    gradient step ``x - grad f(x) / rho`` overflows raises ValueError
-    naming the member and its row.
+    ``_blocks``, one chunk per task on ``min(cores, chunks)`` threads, so
+    memory is O(threads * chunk * dim) beyond the result. The chunks' points
+    are stacked in row order, so the result has the bits of checking each
+    whole chunk at once in one thread, whatever the thread count. A member
+    whose gradient step ``x - grad f(x) / rho`` overflows raises ValueError
+    naming the member and its row; the first such member in row order.
     """
     _check_rho_tol(rho, tol)
-    keep = [
-        _stationary_rows(f, dset, dset.enumerate_members(limit, start, stop), start, rho, tol)
-        for start, stop in _chunk_ranges(dset)
-    ]
-    return np.vstack(keep)  # a set has at least one member, so one chunk
+    task = functools.partial(_stationary_rows, f, dset, rho, tol, limit)
+    return np.vstack(_map_chunks(task, _chunk_ranges(dset, limit)))  # a set has a member
 
 
 def decrease_condition_value(L_f: float, mu: float, rho: float) -> float:

@@ -280,6 +280,9 @@ def cmd_bruteforce(args) -> int:
         inst = _load_instance(args.instance)
         dset = _bounded_set(inst.dset, args.bounds)
     argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)
+    if not math.isfinite(value):  # JSON has no infinities
+        raise ValueError(f"the minimum is not finite: objective is {value} "
+                         f"at member {argmin.tolist()}")
     _write_payload(
         {"argmin": [_round12(v) for v in argmin.tolist()], "value": value},
         args.out,

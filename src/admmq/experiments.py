@@ -51,10 +51,12 @@ DEFAULT_RHO_GRID = tuple(10.0**k for k in range(-2, 7))
 DEFAULT_BETA_GRID = tuple(10.0 ** (k / 2.0) for k in range(-10, 11))
 DEFAULT_P_GRID = (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.99)
 
-# The least work, runs x d, that a sweep's block must hold for a process pool
-# to pay: a d=16 lane step is mostly fixed cost, so a block of half the runs
-# takes almost as long as all of them. Set from the crossover table of
-# BENCH_19.json, where two blocks of this much work broke even at d=16 to 64.
+# The least work, runs x d x max(1, d // 64), that a sweep's block must hold
+# for a process pool to pay: a d=16 lane step is mostly fixed cost, so a
+# block of half the runs takes almost as long as all of them, while from
+# d=128 on a lane's triangular solves grow like d^2. Set from the crossover
+# table of BENCH_19.json, where two blocks of this much work broke even at
+# d=16 to 64, and a 2-worker pool won at d=256 with 5 runs.
 _MIN_BLOCK_WORK = 1024
 
 
@@ -480,14 +482,14 @@ def run_protocol(
 
     The runs are the lanes of :func:`~admmq.solvers.run_lanes` calls. All n
     runs, in plan order, are dealt round-robin into as many blocks as their
-    work fills, ``n * d // _MIN_BLOCK_WORK``, but at least one and at most
-    ``max_workers``; one call each, so that each block mixes the methods and
-    grid points and the blocks take about equally long. With more than one
-    block the blocks go to a process pool of one worker per block, whose
-    OpenBLAS threads share the cores; a single block runs in this process
-    with one OpenBLAS thread. Records are read back by (algorithm, grid
-    point, init), so results do not depend on scheduling. An unknown or
-    repeated algorithm raises ValueError before anything runs.
+    work fills, ``n * d * max(1, d // 64) // _MIN_BLOCK_WORK``, but at least
+    one and at most ``max_workers``; one call each, so that each block mixes
+    the methods and grid points and the blocks take about equally long.
+    With more than one block the blocks go to a process pool of one worker
+    per block, whose OpenBLAS threads share the cores; a single block runs
+    in this process with one OpenBLAS thread. Records are read back by
+    (algorithm, grid point, init), so results do not depend on scheduling.
+    An unknown or repeated algorithm raises ValueError before anything runs.
     """
     check_algorithms(algorithms)
     # a hair above the radius, so that rounding in a distance cannot reach it
@@ -508,7 +510,8 @@ def run_protocol(
         if (src, _hyper_key(hyper)) in wanted
         for init_index in range(protocol.n_inits)
     ]
-    blocks = min(max_workers, len(runs) * instance.objective.dim // _MIN_BLOCK_WORK)
+    d = instance.objective.dim
+    blocks = min(max_workers, len(runs) * d * max(1, d // 64) // _MIN_BLOCK_WORK)
     tasks = [(instance, block, protocol) for block in _deal(runs, blocks)]
     workers = len(tasks)  # at most max_workers
     if workers > 1:

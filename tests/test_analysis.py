@@ -1,6 +1,8 @@
 import itertools
 import json
 import math
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -317,19 +319,29 @@ class TestOracleMemory:
 
 
 class _SpyQuadratic(QuadraticObjective):
-    """A quadratic that records the rows and the result of each batched call."""
+    """A quadratic that records the rows and the result of each batched call.
+
+    Each call is keyed by its first member. Members are enumerated in
+    lexicographic order, so sorting the keys puts the calls in row order,
+    whichever thread made them and whenever."""
 
     def __init__(self, Q, b):
         super().__init__(Q, b)
         self.values, self.gradients = [], []
 
     def value_many(self, X):
-        self.values.append(super().value_many(X))
-        return self.values[-1]
+        out = super().value_many(X)
+        self.values.append((tuple(X[0]), out))
+        return out
 
     def gradient_many(self, X):
-        self.gradients.append(super().gradient_many(X))
-        return self.gradients[-1]
+        out = super().gradient_many(X)
+        self.gradients.append((tuple(X[0]), out))
+        return out
+
+    @staticmethod
+    def in_row_order(calls):
+        return [out for _, out in sorted(calls, key=lambda call: call[0])]
 
 
 class TestOracleBlocks:
@@ -361,7 +373,7 @@ class TestOracleBlocks:
             brute_force_minimize(f, self.BOX)
         else:
             enumerate_stationary_points(f, self.BOX, 0.1 * f.lipschitz_L)
-        rows = [len(v) for v in f.values + f.gradients]
+        rows = [len(out) for _, out in f.values + f.gradients]
         assert sum(rows) == self.BOX.cardinality()
         assert 2 <= min(rows) and max(rows) <= analysis._BLOCK_ROWS, rows
 
@@ -374,16 +386,146 @@ class TestOracleBlocks:
         points = enumerate_stationary_points(f, dset, rho)
         # each whole chunk, scored at once
         plain, members = QuadraticObjective(f.Q, f.b), dset.enumerate_members()
-        chunks = [members[a:b] for a, b in analysis._chunk_ranges(dset)]
+        chunks = [members[a:b] for a, b in analysis._chunk_ranges(dset, len(members))]
         ref_vals = np.concatenate([plain.value_many(chunk) for chunk in chunks])
         ref_grads = np.vstack([plain.gradient_many(chunk) for chunk in chunks])
-        for got, ref in ((f.values, ref_vals), (f.gradients, ref_grads)):
-            np.testing.assert_array_equal(np.concatenate(got).view(np.uint64), ref.view(np.uint64))
+        for calls, ref in ((f.values, ref_vals), (f.gradients, ref_grads)):
+            got = np.concatenate(f.in_row_order(calls))
+            np.testing.assert_array_equal(got.view(np.uint64), ref.view(np.uint64))
         i = int(np.argmin(ref_vals))
         assert (argmin.tolist(), repr(value)) == (members[i].tolist(), repr(float(ref_vals[i])))
         targets = members - ref_grads / rho
         gaps = np.abs(members - targets) - np.abs(dset.project_many(targets) - targets)
         np.testing.assert_array_equal(points, members[(gaps <= 1e-9).all(axis=1)])
+
+
+@pytest.fixture
+def cores(monkeypatch):
+    """Set the core count the oracles see; returns the setter."""
+    return lambda n: monkeypatch.setattr(analysis, "_cores", lambda: n)
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Chunks of 4 rows, each one block."""
+    monkeypatch.setattr(analysis, "_EVAL_CHUNK", 4)
+    monkeypatch.setattr(analysis, "_BLOCK_ROWS", 4)
+
+
+class TestOracleThreads:
+    """The oracles score and test their chunks on ``min(cores, chunks)`` threads."""
+
+    LINE = uniform_lattice(1, 1.0, 0.0, 99.0)  # 100 members: 25 chunks of 4 rows
+
+    @staticmethod
+    def outputs(f, dset):
+        argmin, value = brute_force_minimize(f, dset)
+        points = enumerate_stationary_points(f, dset, 0.5 * f.lipschitz_L)
+        return argmin.tolist(), repr(value), points.shape, points.tobytes()
+
+    @pytest.mark.parametrize("chunk, dset", [(7, MIXED), (None, TestOracleBlocks.BOX)],
+                             ids=["mixed-chunk7", "box"])
+    def test_outputs_do_not_depend_on_the_thread_count(self, monkeypatch, cores, chunk, dset):
+        if chunk is not None:
+            monkeypatch.setattr(analysis, "_EVAL_CHUNK", chunk)
+            monkeypatch.setattr(analysis, "_BLOCK_ROWS", 4)
+        f = random_psd_quadratic(np.random.default_rng(26), d=dset.dim)
+        got = []
+        for n in (1, 2, 3):
+            cores(n)
+            got.append(self.outputs(f, dset))
+        assert got[1] == got[0] and got[2] == got[0]
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_nan_in_two_chunks_raises_the_earlier_row(self, tiny_chunks, cores, n):
+        cores(n)
+        f = QuadraticObjective([[1.0]], [0.0])
+
+        def value_many(X):
+            if 6.0 in X:  # chunk 1 fails after chunk 3 does
+                time.sleep(0.05)
+            return np.where(np.isin(X[:, 0], (6.0, 13.0)), np.nan, X[:, 0])
+
+        f.value_many = value_many
+        with pytest.raises(ValueError, match=r"at member \[6\.0\] \(row 6\)$"):
+            brute_force_minimize(f, self.LINE)
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_overflows_in_two_chunks_raise_the_earlier_row(self, tiny_chunks, cores, n):
+        cores(n)
+        f = QuadraticObjective([[1.0]], [0.0])
+
+        def gradient_many(X):
+            if 6.0 in X:  # chunk 1 fails after chunk 3 does
+                time.sleep(0.05)
+            return np.where(np.isin(X, (6.0, 13.0)), 1e308, X)
+
+        f.gradient_many = gradient_many
+        # 1e308 / rho overflows
+        with pytest.raises(ValueError, match=r"at member \[6\.0\] \(row 6\)$"):
+            enumerate_stationary_points(f, self.LINE, rho=0.5)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("oracle", ["brute_force_minimize", "enumerate_stationary_points"])
+    def test_a_failure_in_the_first_chunk_stops_the_rest(self, tiny_chunks, cores, n, oracle):
+        cores(n)
+
+        class Failing(_SpyQuadratic):
+            """NaN values and overflowing gradients at 0, after a wait that
+            leaves the other threads time to score every chunk they are given."""
+
+            def value_many(self, X):
+                if 0.0 in X:
+                    time.sleep(0.05)
+                return np.where(X[:, 0] == 0.0, np.nan, super().value_many(X))
+
+            def gradient_many(self, X):
+                if 0.0 in X:
+                    time.sleep(0.05)
+                return np.where(X == 0.0, 1e308, super().gradient_many(X))
+
+        f = Failing([[1.0]], [0.0])
+        with pytest.raises(ValueError, match=r"\(row 0\)$"):
+            getattr(analysis, oracle)(*(f, self.LINE) if oracle == "brute_force_minimize"
+                                      else (f, self.LINE, 0.5))
+        scored = {first for first, _ in f.values + f.gradients}
+        assert 1 <= len(scored) <= 2 * n, sorted(scored)  # of 25 chunks
+
+    @pytest.mark.parametrize("oracle", ["brute_force_minimize", "enumerate_stationary_points"])
+    def test_the_callers_error_state_holds_in_every_thread(self, tiny_chunks, cores, oracle):
+        cores(2)
+        f = QuadraticObjective([[1.0]], [0.0])
+        # a division by 0 at member 50, in chunk 12
+        f.value_many = lambda X: 1.0 / (X[:, 0] - 50.0)
+        f.gradient_many = lambda X: 1.0 / (X - 50.0)
+        args = (f, self.LINE) if oracle == "brute_force_minimize" else (f, self.LINE, 0.5)
+        with np.errstate(divide="raise"), pytest.raises(FloatingPointError):
+            getattr(analysis, oracle)(*args)
+
+    @pytest.mark.parametrize("fails", [False, True])
+    def test_no_thread_outlives_the_call(self, tiny_chunks, cores, fails):
+        cores(2)
+        f = _NanLeft() if fails else QuadraticObjective([[1.0]], [0.0])
+        dset = uniform_lattice(1, 1.0, -2.0 if fails else 0.0, 97.0)
+        before = threading.active_count()
+        for call in (lambda: brute_force_minimize(f, dset),
+                     lambda: enumerate_stationary_points(f, dset, rho=0.5)):
+            try:
+                call()
+            except ValueError:
+                assert fails
+            assert threading.active_count() == before
+
+    def test_one_chunk_or_one_core_starts_no_thread(self, monkeypatch, tiny_chunks, cores):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(analysis, "ThreadPoolExecutor", no_pool)
+        f = QuadraticObjective([[1.0]], [0.0])
+        for n, dset in ((4, uniform_lattice(1, 1.0, 0.0, 3.0)), (1, self.LINE)):
+            cores(n)
+            assert brute_force_minimize(f, dset)[1] == 0.0
+            assert enumerate_stationary_points(f, dset, rho=0.5).tolist() == [[0.0]]
 
 
 class TestParameterConditions:

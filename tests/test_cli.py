@@ -449,6 +449,22 @@ class TestBruteforce:
         )
 
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_overflow_at_every_member_is_usage_error(self, tmp_path, capsys, fmt):
+        # 1/2 x'Qx overflows to inf at every member: JSON has no inf to print
+        lattice = {"kind": "lattice", "v": 1e10, "a": None, "b": None}
+        inst = {"Q": [[1e300, 0.0], [0.0, 1e300]], "b": [0.0, 0.0],
+                "set": {"coords": [lattice, lattice]}}
+        path = tmp_path / "inf.json"
+        path.write_text(json.dumps(inst))
+        argv = ["bruteforce", "--instance", str(path), "--bounds", "1e10", "3e10",
+                "--format", fmt]
+        assert main(argv) == 2
+        assert capsys.readouterr() == (
+            "", "error: the minimum is not finite: objective is inf "
+                "at member [10000000000.0, 10000000000.0]\n"
+        )
+
 class TestVerifyConditions:
     def test_decrease_true(self, capsys):
         code = main(["verify-conditions", "--Lf", "1", "--mu", "0", "--rho", "1.5"])

@@ -598,6 +598,16 @@ class TestLaneSweep:
         assert calls == [self.planned_lanes(inst, protocol, algorithms)]
         assert len(calls[0]) * 16 < experiments._MIN_BLOCK_WORK
 
+    @pytest.mark.parametrize("d, n_inits, started", [
+        (256, 5, [2]),  # 5 x 256 x 4 = 5120 of work: a lane's solves grow like d^2
+        (64, 17, []),  # 17 x 64 = 1088 of work, one block
+        (16, 17, []),
+    ])
+    def test_block_work_grows_like_d_squared_from_d128(self, fake_pool, d, n_inits, started):
+        inst = generate_instance(InstanceSpec(d=d, v=8.0, sigma_q_sq=30.0, seed=1))
+        run_protocol(inst, ["gd-proj"], tiny_protocol(n_inits=n_inits), max_workers=2)
+        assert fake_pool == started
+
     @pytest.mark.parametrize("blocks, max_workers, started_below, started_at", [
         (2, 2, [], [2]), (2, 1, [], []), (3, 2, [2], [2]), (3, 4, [2], [3]),
     ])

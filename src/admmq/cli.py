@@ -90,6 +90,11 @@ def _prefixed(prefix: str, kinds=(OSError, ValueError)):
         raise ValueError(f"{prefix}: {exc}") from exc
 
 
+def _given(**values) -> dict:
+    """The values of the flags that were given; the others keep the library's defaults."""
+    return {k: v for k, v in values.items() if v is not None}
+
+
 def _load_instance(path: str) -> GeneratedInstance:
     """The instance in the JSON file at ``path``; a malformed one raises ValueError."""
     with open(path) as fh:
@@ -101,9 +106,8 @@ def _load_instance(path: str) -> GeneratedInstance:
 
 
 def cmd_generate(args) -> int:
-    spec = InstanceSpec(
-        d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed
-    )
+    given = _given(v=args.v, sigma_q_sq=args.sigma_q_sq, b_scale=args.b_scale, seed=args.seed)
+    spec = InstanceSpec(d=args.d, **given)
     inst = generate_instance(spec)
     Path(args.out).write_text(json.dumps(inst.to_dict(), sort_keys=True) + "\n")
     return EXIT_OK
@@ -133,15 +137,10 @@ def _feasibility_gate(alg: str, config: SolverConfig, L_f: float, mu: float) -> 
 
 def cmd_solve(args) -> int:
     _check_flags(args)
-    given = {"gamma": args.gamma, "beta": args.beta, "mask_prob": args.p}
-    config = SolverConfig(
-        **{k: v for k, v in given.items() if v is not None},
-        rho=args.rho,
-        max_iters=args.iters,
-        seed=args.seed,
-        init_scale=args.init_scale,
-        trace_stride=args.trace_stride,
-    )
+    config = SolverConfig(**_given(
+        rho=args.rho, gamma=args.gamma, beta=args.beta, mask_prob=args.p, max_iters=args.iters,
+        seed=args.seed, init_scale=args.init_scale, trace_stride=args.trace_stride,
+    ))
     if not args.trace:  # nothing writes the trace: record its first and last rows only
         config = dataclasses.replace(config, trace_stride=max(1, config.max_iters))
     with _prefixed("cannot load instance"):
@@ -150,7 +149,7 @@ def cmd_solve(args) -> int:
     if not args.force and not _feasibility_gate(args.algorithm, config, L_f, mu):
         return _fail(
             f"parameters infeasible for {args.algorithm} (L_f={_fmt(L_f)}, mu={_fmt(mu)}, "
-            f"rho={_fmt(args.rho)}); pass --force to run anyway",
+            f"rho={_fmt(config.rho)}); pass --force to run anyway",
             EXIT_INFEASIBLE,
         )
     result = run(args.algorithm, inst.objective, inst.dset, config)
@@ -158,14 +157,14 @@ def cmd_solve(args) -> int:
     y = result.state.y  # the reported point; pgd and gd-proj keep y equal to x
     stationary = None  # admm-s's y may lie off the set
     if inst.dset.contains(y, tol=1e-6):
-        report = is_rho_stationary(inst.objective, inst.dset, y, args.rho, membership_tol=1e-6)
+        report = is_rho_stationary(inst.objective, inst.dset, y, config.rho, membership_tol=1e-6)
         stationary = report.is_stationary
 
     if args.trace:
         result.trace.to_csv(args.trace)
     payload = {
         "algorithm": args.algorithm,
-        "rho": args.rho,
+        "rho": config.rho,
         "iterations": config.max_iters,
         "final_objective": result.best_objective,
         "final_f_y": result.final_objective,
@@ -199,7 +198,8 @@ def cmd_sweep(args) -> int:
             instances.append(inst)
     else:
         specs = [
-            InstanceSpec(d=args.d, v=args.v, sigma_q_sq=args.sigma_q_sq, seed=args.seed + i)
+            InstanceSpec(d=args.d, seed=args.seed + i,
+                         **_given(v=args.v, sigma_q_sq=args.sigma_q_sq))
             for i in range(args.generate)
         ]
         instances = [generate_instance(spec) for spec in specs]
@@ -253,7 +253,7 @@ def cmd_check_stationary(args) -> int:
     with _prefixed("bad inputs", (OSError, TypeError, ValueError)):
         inst = _load_instance(args.instance)
         point = np.asarray(json.loads(args.point), dtype=float)
-    report = is_rho_stationary(inst.objective, inst.dset, point, args.rho, tol=args.tol)
+    report = is_rho_stationary(inst.objective, inst.dset, point, args.rho, **_given(tol=args.tol))
     payload = report.to_dict()
     payload["rho"] = args.rho
     _write_payload(payload, args.out, args.format)
@@ -279,7 +279,7 @@ def cmd_bruteforce(args) -> int:
     with _prefixed("bad inputs"):
         inst = _load_instance(args.instance)
         dset = _bounded_set(inst.dset, args.bounds)
-    argmin, value = brute_force_minimize(inst.objective, dset, limit=args.limit)
+    argmin, value = brute_force_minimize(inst.objective, dset, **_given(limit=args.limit))
     if not math.isfinite(value):  # JSON has no infinities
         raise ValueError(f"the minimum is not finite: objective is {value} "
                          f"at member {argmin.tolist()}")
@@ -293,7 +293,7 @@ def cmd_bruteforce(args) -> int:
 
 def cmd_verify_conditions(args) -> int:
     # SolverConfig holds the rules for rho and gamma
-    SolverConfig(rho=args.rho, gamma=0.0 if args.gamma is None else args.gamma)
+    SolverConfig(**_given(rho=args.rho, gamma=args.gamma))
     for flag, value in (("--Lf", args.Lf), ("--mu", args.mu)):
         if not (0 <= value < math.inf):
             raise ValueError(f"{flag} must be non-negative and finite, got {value}")
@@ -326,22 +326,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="generate a random quadratic-lattice instance")
     p.add_argument("--d", type=int, required=True, help="dimension")
-    p.add_argument("--v", type=float, default=8.0, help="lattice spacing")
-    p.add_argument("--sigma-q-sq", type=float, default=30.0, dest="sigma_q_sq")
+    p.add_argument("--v", type=float, default=None, help="lattice spacing")
+    p.add_argument("--sigma-q-sq", type=float, default=None, dest="sigma_q_sq")
     p.add_argument("--b-scale", type=float, default=None, dest="b_scale")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True, help="output instance JSON path")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("solve", help="run one algorithm on an instance")
     p.add_argument("--instance", required=True)
     p.add_argument("--algorithm", required=True, choices=METHODS)
-    p.add_argument("--rho", type=float, default=1.0)
+    p.add_argument("--rho", type=float, default=None)
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--beta", type=float, default=None)
     p.add_argument("--p", type=float, default=None)
-    p.add_argument("--iters", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--iters", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
     p.add_argument(
         "--init-scale",
         type=float,
@@ -350,7 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="std-dev of the Gaussian start (default: lattice spacing)",
     )
     p.add_argument("--trace", default=None, help="write per-iteration CSV here")
-    p.add_argument("--trace-stride", type=int, default=1, dest="trace_stride")
+    p.add_argument("--trace-stride", type=int, default=None, dest="trace_stride")
     p.add_argument("--force", action="store_true", help="run despite infeasible parameters")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", default=None)
@@ -360,8 +360,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instances", default=None, help="directory of instance JSON files")
     p.add_argument("--generate", type=int, default=0, help="generate this many instances")
     p.add_argument("--d", type=int, default=16)
-    p.add_argument("--v", type=float, default=8.0)
-    p.add_argument("--sigma-q-sq", type=float, default=30.0, dest="sigma_q_sq")
+    p.add_argument("--v", type=float, default=None)
+    p.add_argument("--sigma-q-sq", type=float, default=None, dest="sigma_q_sq")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--protocol", default=None, help="JSON file overriding protocol fields")
     p.add_argument("--paper-scale", action="store_true", dest="paper_scale")
@@ -377,7 +377,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--instance", required=True)
     p.add_argument("--point", required=True, help="JSON array, e.g. '[0, 8]'")
     p.add_argument("--rho", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=float, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_check_stationary)
@@ -392,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar=("LO", "HI"),
         help="box unbounded lattice coordinates to [LO, HI] before enumerating",
     )
-    p.add_argument("--limit", type=int, default=10_000_000)
+    p.add_argument("--limit", type=int, default=None)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_bruteforce)

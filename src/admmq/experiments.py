@@ -18,7 +18,6 @@ import functools
 import json
 import math
 import numbers
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -261,7 +260,7 @@ def _hyper_key(hyper: dict) -> str:
 
 
 def _execute_task(task) -> list[RunRecord]:
-    """Run a block of lanes, of any methods, in one ``run_lanes`` call.
+    """Run a block of lanes, of any methods, in one ``run_lanes`` call on one OpenBLAS thread.
 
     A lane is an (algorithm, grid point, init); a ``SolverError`` marks it diverged.
     """
@@ -271,7 +270,8 @@ def _execute_task(task) -> list[RunRecord]:
         for algorithm, hyper, init_index in lanes
     ]
     methods = [algorithm for algorithm, _, _ in lanes]
-    outcomes = run_lanes(methods, instance.objective, instance.dset, configs)
+    with _one_blas_thread():
+        outcomes = run_lanes(methods, instance.objective, instance.dset, configs)
     records = []
     for (algorithm, hyper, init_index), out in zip(lanes, outcomes):
         failed = isinstance(out, SolverError)
@@ -331,30 +331,18 @@ def _openblas() -> tuple:
     return tuple(pairs)
 
 
-def _share_cores(workers: int):
-    """Pool initializer: the workers' OpenBLAS threads together use each core once.
-
-    OpenBLAS runs a triangular solve of many right-hand sides on several
-    threads. With a worker on every core those threads mostly wait for one
-    another: the default sweep of the README took 109 s at ``--workers 2``
-    on a 2-vCPU host, and 21 s with one BLAS thread per worker. A sweep run
-    in-process limits its threads in :func:`_one_blas_thread` instead. Where
-    no OpenBLAS is found (see :func:`_openblas`) the threads stay as they are.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except AttributeError:
-        return
-    for _, put in _openblas():
-        put(max(1, cores // workers))
-
-
 @contextlib.contextmanager
 def _one_blas_thread():
     """Run the body with one OpenBLAS thread, then restore each library's count.
 
-    For the same reason as in :func:`_share_cores`: a sweep run in-process
-    with its default threads leaves them waiting on one another.
+    Every sweep block runs in it, in a pool worker or in this process.
+    OpenBLAS runs a triangular solve of many right-hand sides on several
+    threads, and with a block on every core those threads mostly wait for
+    one another: the default sweep of the README took 109 s at
+    ``--workers 2`` on a 2-vCPU host with the default threads, and 21 s with
+    one thread per worker. A single in-process block took the same wall
+    time on one thread as on two, with half the CPU. Where no OpenBLAS is
+    found (see :func:`_openblas`) the threads stay as they are.
     """
     libs = _openblas()
     before = [get() for get, _ in libs]
@@ -486,8 +474,8 @@ def run_protocol(
     one and at most ``max_workers``; one call each, so that each block mixes
     the methods and grid points and the blocks take about equally long.
     With more than one block the blocks go to a process pool of one worker
-    per block, whose OpenBLAS threads share the cores; a single block runs
-    in this process with one OpenBLAS thread. Records are read back by
+    per block; a single block runs in this process. Either way a block runs
+    on one OpenBLAS thread (:func:`_one_blas_thread`). Records are read back by
     (algorithm, grid point, init), so results do not depend on scheduling.
     An unknown or repeated algorithm raises ValueError before anything runs.
     """
@@ -515,11 +503,10 @@ def run_protocol(
     tasks = [(instance, block, protocol) for block in _deal(runs, blocks)]
     workers = len(tasks)  # at most max_workers
     if workers > 1:
-        with ProcessPoolExecutor(workers, initializer=_share_cores, initargs=(workers,)) as pool:
+        with ProcessPoolExecutor(workers) as pool:
             outputs = list(pool.map(_execute_task, tasks, chunksize=1))
     else:
-        with _one_blas_thread():
-            outputs = [_execute_task(t) for t in tasks]
+        outputs = [_execute_task(t) for t in tasks]
 
     ran = {(rec.algorithm, rec.hyper, rec.init): rec for recs in outputs for rec in recs}
     records = [

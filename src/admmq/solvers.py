@@ -785,8 +785,7 @@ def run_lanes(
             # cycle's period; Brent's method: the t of the saved iterate, the
             # gap at which it moves on (0: no longer looking), and the iterate
             off=zeros[0], moved=zeros[1], period=zeros[2], since=zeros[3], power=zeros[4] + 1,
-            saved_x=np.empty((n, d)), saved_y=np.empty((n, d)), saved_lam=np.empty((n, d)),
-            saved_sum=np.full((n, d), np.nan),
+            saved_x=np.full((n, d), np.nan), saved_y=np.empty((n, d)), saved_lam=np.empty((n, d)),
             # the t of the lane's next trace row or last iteration, and of its next event
             record_at=np.array([min(c.trace_stride, c.max_iters) for c in cfgs], dtype=np.int64),
             wake=np.ones(n, dtype=np.int64),
@@ -816,11 +815,11 @@ def run_lanes(
                 f, dset, X, Y, Lam, col.rho, shared, masks
             )
             col.window[:, t % w] = fys
-            # one reduction: did y move; does x + lambda differ from the saved
-            # iterate's (a repeat has the same sum; NaN before the first save);
-            # does the projection differ from the old y
+            # one reduction: did y move; does x differ from the saved iterate's
+            # (a repeat has the same x; NaN before the first save and after a
+            # found cycle); does the projection differ from the old y
             np.not_equal(Y, Yp, out=diff[0])
-            np.not_equal(np.add(X, Lam), col.saved_sum, out=diff[1])
+            np.not_equal(X, col.saved_x, out=diff[1])
             if restarting:
                 np.not_equal(y_hat.view(np.uint64), Yp.view(np.uint64), out=diff[2])
             moved, differs, restart = np.logical_or.reduce(diff, axis=2)
@@ -870,7 +869,7 @@ def run_lanes(
                     saved = (Xp, Yp, Lp) if gap == 1 else (col.saved_x, col.saved_y, col.saved_lam)
                     if all(now[pos].tobytes() == then[pos].tobytes()
                            for now, then in zip((X, Y, Lam), saved)):
-                        col.period[pos], col.saved_sum[pos], col.restarts[pos] = gap, np.nan, False
+                        col.period[pos], col.saved_x[pos], col.restarts[pos] = gap, np.nan, False
                         restarting = bool(col.restarts.any())
                         diff[2] &= restarting  # stale flags go once no lane restarts
                         power, skip = 0, max(0, ((c.max_iters - r - c.window) // gap - 1) * gap)
@@ -878,7 +877,7 @@ def run_lanes(
                             cycle_rows[lane] = (skip, [])
                     elif gap == power:
                         col.saved_x[pos], col.saved_y[pos] = X[pos], Y[pos]
-                        col.saved_lam[pos], col.saved_sum[pos] = Lam[pos], X[pos] + Lam[pos]
+                        col.saved_lam[pos] = Lam[pos]
                         col.since[pos], power = t, 2 * gap
                     col.power[pos] = power
                 if r >= c.max_iters:

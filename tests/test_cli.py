@@ -76,6 +76,19 @@ class TestParser:
             main([])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("argv, flags", [
+        (["generate", "--d", "2", "--out", "x"], ("v", "sigma_q_sq", "seed")),
+        (["solve", "--instance", "x", "--algorithm", "admm-q"],
+         ("rho", "iters", "seed", "trace_stride")),
+        (["sweep", "--out", "x"], ("v", "sigma_q_sq")),
+        (["check-stationary", "--instance", "x", "--point", "[0]", "--rho", "1"], ("tol",)),
+        (["bruteforce", "--instance", "x"], ("limit",)),
+    ])
+    def test_library_defaults_are_not_restated(self, argv, flags):
+        # a flag not given is left out of the call, so the library's default holds
+        args = cli.build_parser().parse_args(argv)
+        assert {flag: getattr(args, flag) for flag in flags} == dict.fromkeys(flags)
+
 
 class TestGenerate:
     def test_writes_instance(self, tmp_path):

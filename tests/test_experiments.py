@@ -1,6 +1,7 @@
 import io
 import json
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 
@@ -315,8 +316,7 @@ def fake_pool(monkeypatch) -> list:
     started = []
 
     class InProcessPool:
-        def __init__(self, max_workers, initializer, initargs):
-            assert (initializer, initargs) == (experiments._share_cores, (max_workers,))
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -341,9 +341,9 @@ def real_pool(monkeypatch) -> list:
     started = []
 
     class CountedPool(ProcessPoolExecutor):
-        def __init__(self, max_workers, **kw):
+        def __init__(self, max_workers):
             started.append(max_workers)
-            super().__init__(max_workers, **kw)
+            super().__init__(max_workers)
 
     monkeypatch.setattr(experiments, "_MIN_BLOCK_WORK", 1)
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", CountedPool)
@@ -356,15 +356,26 @@ def openblas_threads() -> list:
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
-def test_pool_workers_share_the_cores():
-    cores = len(os.sched_getaffinity(0))
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the workers inherit the test's patches by fork")
+def test_pool_blocks_run_on_one_blas_thread_however_many_cores(monkeypatch, real_pool, tmp_path):
     if not openblas_threads():
         pytest.skip("no OpenBLAS loaded")
-    for workers, threads in ((cores, 1), (1, cores)):
-        with ProcessPoolExecutor(1, initializer=experiments._share_cores,
-                                 initargs=(workers,)) as pool:
-            counts = pool.submit(openblas_threads).result(timeout=60)
-        assert counts and set(counts) == {threads}
+    inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
+    seen = tmp_path / "threads.jsonl"
+
+    def spy(*args):  # runs in a worker: it reports through the file
+        with open(seen, "a") as fh:
+            fh.write(json.dumps(openblas_threads()) + "\n")
+        return run_lanes(*args)
+
+    # four cores: room for two BLAS threads in each of the two workers
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4)))
+    monkeypatch.setattr(experiments, "run_lanes", spy)
+    run_protocol(inst, ["admm-q", "pgd"], tiny_protocol(), max_workers=2)
+    assert real_pool == [2]
+    blocks = [json.loads(line) for line in seen.read_text().splitlines()]
+    assert blocks == [[1] * len(experiments._openblas())] * 2
 
 
 @pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
@@ -430,8 +441,7 @@ def test_openblas_scan_reads_paths_with_spaces(monkeypatch, fresh_openblas_scan)
     monkeypatch.setattr(experiments.ctypes, "CDLL", cannot_load)
     assert experiments._openblas() == ()
     assert loaded == ["/opt/a b/libopenblas.so.0"]  # the deleted file is not loaded
-    experiments._share_cores(2)  # leaves the threads as they are, and raises nothing
-    with experiments._one_blas_thread():  # likewise
+    with experiments._one_blas_thread():  # leaves the threads as they are, and raises nothing
         pass
 
 

@@ -5,13 +5,15 @@ members of its own projected-gradient target ``x - grad f(x) / rho``; i.e.
 one projected-gradient step of size ``1/rho`` cannot move it. Membership in
 the argmin set is checked with an absolute per-coordinate tolerance because
 exact ties are legitimate (the target can sit exactly between two members).
+
+The exhaustive oracles, ``brute_force_minimize`` and
+``enumerate_stationary_points``, visit every member in ``_walk_members``.
 """
 
 from __future__ import annotations
 
 import contextvars
 import dataclasses
-import functools
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import SmoothObjective
-from .sets import DiscreteProductSet
+from .sets import DiscreteProductSet, check_tol
 
 __all__ = [
     "StationarityReport",
@@ -58,8 +60,7 @@ class StationarityReport:
 def _check_rho_tol(rho: float, tol: float):
     if not (0 < rho < math.inf):
         raise ValueError(f"rho must be positive and finite, got {rho}")
-    if not (0 <= tol < math.inf):
-        raise ValueError(f"tol must be non-negative and finite, got {tol}")
+    check_tol(tol)
 
 
 def is_rho_stationary(
@@ -80,6 +81,7 @@ def is_rho_stationary(
     ``x - grad f(x) / rho`` that is not finite raises ValueError.
     """
     _check_rho_tol(rho, tol)
+    check_tol(membership_tol, "membership_tol")
     x = np.asarray(x, dtype=float)
     snapped = dset.project(x)
     if float(np.max(np.abs(x - snapped), initial=0.0)) > membership_tol:
@@ -153,47 +155,48 @@ def _blocks(n: int):
     return ((a, min(a + step, n)) for a in range(0, n, step))
 
 
-def _chunk_minimum(
-    f: SmoothObjective, dset: DiscreteProductSet, limit: int, start: int, stop: int
-) -> tuple[np.ndarray, float]:
-    """The first minimizer of members ``[start, stop)`` and its value, scored in ``_blocks``.
+def _walk_members(dset: DiscreteProductSet, limit: int, check, failure: str) -> list:
+    """``check(x)`` for each block ``x`` of the set's members, the results in row order.
 
-    A NaN objective value raises ValueError naming the first such member.
+    Each ``_chunk_ranges`` chunk is built once, as one ``_map_chunks`` task,
+    and checked in its ``_blocks``, so memory is O(threads * chunk * dim) and
+    every result has the bits of checking the whole chunk at once in one
+    thread. ``check`` returns the block's result and a mask of its bad rows,
+    or None; the first bad row in row order raises
+    ``ValueError("<failure> at member [..] (row i)")``.
     """
-    chunk = dset.enumerate_members(limit, start, stop)
-    best, best_val = None, math.inf
-    for a, b in _blocks(len(chunk)):
-        with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN raises below
-            vals = f.value_many(chunk[a:b])
-        nan = np.isnan(vals)
-        if nan.any():
-            i = a + int(np.argmax(nan))
-            raise ValueError(f"objective is NaN at member {chunk[i].tolist()} "
-                             f"(row {start + i})")
-        i = int(np.argmin(vals))
-        # strict < keeps the first (lexicographically smallest) minimizer
-        if best is None or vals[i] < best_val:
-            best, best_val = chunk[a + i].copy(), float(vals[i])
-    return best, best_val
+    def task(start: int, stop: int) -> list:
+        chunk = dset.enumerate_members(limit, start, stop)
+        results = []
+        for a, b in _blocks(len(chunk)):
+            result, bad = check(chunk[a:b])
+            if bad is not None and bad.any():
+                i = a + int(np.argmax(bad))
+                raise ValueError(f"{failure} at member {chunk[i].tolist()} (row {start + i})")
+            results.append(result)
+        return results
+
+    return [r for results in _map_chunks(task, _chunk_ranges(dset, limit)) for r in results]
 
 
 def brute_force_minimize(
     f: SmoothObjective, dset: DiscreteProductSet, limit: int = 10_000_000
 ) -> tuple[np.ndarray, float]:
-    """Exact global minimum by sweeping every member of the set.
+    """Exact global minimum by scoring every member of the set in ``_walk_members``.
 
     Ties resolve to the lexicographically smallest member (enumeration order).
-    Members are built ``_EVAL_CHUNK`` rows at a time and scored in
-    ``_blocks``, one chunk per task on ``min(cores, chunks)`` threads, so
-    memory is O(threads * chunk * dim). The chunks' minima are reduced in row
-    order, so the result has the bits of scoring each whole chunk at once in
-    one thread, whatever the thread count. A NaN objective value raises
-    ValueError naming the first such member.
+    A NaN objective value raises ValueError naming the first such member.
     """
+    def block_minimum(x):
+        with np.errstate(over="ignore", invalid="ignore"):  # inf scores; NaN is a bad row
+            vals = f.value_many(x)
+        i = int(np.argmin(vals))
+        return (x[i].copy(), float(vals[i])), np.isnan(vals)
+
     best, best_val = None, math.inf
-    task = functools.partial(_chunk_minimum, f, dset, limit)
-    for x, val in _map_chunks(task, _chunk_ranges(dset, limit)):
-        if best is None or val < best_val:  # strict <, as within a chunk
+    for x, val in _walk_members(dset, limit, block_minimum, "objective is NaN"):
+        # strict < keeps the first (lexicographically smallest) minimizer
+        if best is None or val < best_val:
             best, best_val = x, val
     return best, best_val
 
@@ -217,37 +220,6 @@ def _stationary_mask(
     return ok
 
 
-def _stationary_rows(
-    f: SmoothObjective, dset: DiscreteProductSet, rho: float, tol: float, limit: int,
-    start: int, stop: int,
-) -> np.ndarray:
-    """The rho-stationary members among ``[start, stop)``.
-
-    Each ``_blocks`` block is checked whole before the next. A member whose
-    gradient step ``x - grad f(x) / rho`` is not finite raises ValueError
-    naming it. A trap on overflow and on invalid operations finds such a
-    member, so the search for it runs only in a block where the trap fires;
-    if every step there is finite, the block is checked again with the trap
-    off.
-    """
-    chunk = dset.enumerate_members(limit, start, stop)
-    ok = np.empty(len(chunk), dtype=bool)
-    for a, b in _blocks(len(chunk)):
-        x = chunk[a:b]
-        try:
-            with np.errstate(over="raise", invalid="raise"):
-                ok[a:b] = _stationary_mask(f, dset, x, rho, tol)
-        except FloatingPointError:
-            with np.errstate(over="ignore", invalid="ignore"):
-                bad = ~np.isfinite(x - f.gradient_many(x) / rho).all(axis=1)
-                if bad.any():
-                    i = a + int(np.argmax(bad))
-                    raise ValueError(f"gradient step is not finite at member "
-                                     f"{chunk[i].tolist()} (row {start + i})") from None
-                ok[a:b] = _stationary_mask(f, dset, x, rho, tol)
-    return chunk[ok]
-
-
 def enumerate_stationary_points(
     f: SmoothObjective,
     dset: DiscreteProductSet,
@@ -257,17 +229,28 @@ def enumerate_stationary_points(
 ) -> np.ndarray:
     """All members that are rho-stationary, as an (n, dim) array in enumeration order.
 
-    Members are built ``_EVAL_CHUNK`` rows at a time and checked in
-    ``_blocks``, one chunk per task on ``min(cores, chunks)`` threads, so
-    memory is O(threads * chunk * dim) beyond the result. The chunks' points
-    are stacked in row order, so the result has the bits of checking each
-    whole chunk at once in one thread, whatever the thread count. A member
-    whose gradient step ``x - grad f(x) / rho`` overflows raises ValueError
-    naming the member and its row; the first such member in row order.
+    Every member is tested in ``_walk_members``. A member whose gradient step
+    ``x - grad f(x) / rho`` is not finite raises ValueError naming it and its
+    row; the first such member in row order. A trap on overflow and on
+    invalid operations finds such a member, so the search for it runs only
+    in a block where the trap fires; if every step there is finite, the
+    block is tested again with the trap off.
     """
     _check_rho_tol(rho, tol)
-    task = functools.partial(_stationary_rows, f, dset, rho, tol, limit)
-    return np.vstack(_map_chunks(task, _chunk_ranges(dset, limit)))  # a set has a member
+
+    def block_points(x):
+        try:
+            with np.errstate(over="raise", invalid="raise"):
+                return x[_stationary_mask(f, dset, x, rho, tol)], None
+        except FloatingPointError:
+            with np.errstate(over="ignore", invalid="ignore"):
+                bad = ~np.isfinite(x - f.gradient_many(x) / rho).all(axis=1)
+                if bad.any():
+                    return None, bad
+                return x[_stationary_mask(f, dset, x, rho, tol)], None
+
+    # a set has a member, so there is a block to stack
+    return np.vstack(_walk_members(dset, limit, block_points, "gradient step is not finite"))
 
 
 def decrease_condition_value(L_f: float, mu: float, rho: float) -> float:

@@ -17,7 +17,6 @@ import dataclasses
 import functools
 import json
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -25,7 +24,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .objectives import QuadraticObjective
-from .rng import RunRng, check_seed, derive_seed
+from .rng import RunRng, check_seed, derive_seed, is_count
 from .sets import DiscreteProductSet, uniform_lattice
 from .solvers import METHODS, SolverConfig, SolverError, run_lanes
 
@@ -173,7 +172,7 @@ class ProtocolSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.n_inits, numbers.Integral) or self.n_inits < 1:
+        if not is_count(self.n_inits) or self.n_inits < 1:
             raise ValueError(f"n_inits must be a positive integer, got {self.n_inits}")
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:

@@ -11,12 +11,17 @@ import numbers
 
 import numpy as np
 
-__all__ = ["RunRng", "check_seed", "derive_seed"]
+__all__ = ["RunRng", "check_seed", "derive_seed", "is_count"]
+
+
+def is_count(value) -> bool:
+    """A count is an ``Integral`` that is not a ``bool``, which JSON ``true`` would be."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def check_seed(seed) -> None:
     """Reject what numpy's seeding cannot take: a seed is a non-negative integer."""
-    if not isinstance(seed, numbers.Integral) or seed < 0:
+    if not is_count(seed) or seed < 0:
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
 
 

@@ -30,12 +30,19 @@ __all__ = [
     "CoordinateSet",
     "DiscreteProductSet",
     "binary_set",
+    "check_tol",
     "uniform_lattice",
 ]
 
 # Relative slack used when mapping real bounds onto lattice indices, so that
 # bounds that are "exact" multiples up to representation error are kept.
 _BOUND_RTOL = 1e-9
+
+
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Reject a tolerance that is NaN, infinite or negative."""
+    if not (0 <= tol < math.inf):
+        raise ValueError(f"{name} must be non-negative and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -245,6 +252,7 @@ class DiscreteProductSet:
         return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, x, tol: float = 0.0) -> bool:
+        check_tol(tol)
         x = self._check_point(x)
         return bool(np.max(np.abs(x - self.project(x)), initial=0.0) <= tol)
 

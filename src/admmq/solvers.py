@@ -32,7 +32,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
-import numbers
 import types
 from dataclasses import dataclass, field
 from typing import Optional
@@ -42,7 +41,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .objectives import QuadraticObjective, SmoothObjective
-from .rng import RunRng, check_seed
+from .rng import RunRng, check_seed, is_count
 from .sets import DiscreteProductSet
 
 __all__ = [
@@ -115,8 +114,9 @@ class InnerSolverConfig:
     abs_grad_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_inner_iters < 1:
-            raise ValueError("max_inner_iters must be positive")
+        if not is_count(self.max_inner_iters) or self.max_inner_iters < 1:
+            raise ValueError(
+                f"max_inner_iters must be a positive integer, got {self.max_inner_iters}")
         if not (self.abs_grad_tol > 0):
             raise ValueError("abs_grad_tol must be positive")
 
@@ -146,7 +146,7 @@ class SolverConfig:
         if not (0 < self.mask_prob <= 1):
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
         for name in ("max_iters", "window", "trace_stride"):
-            if not isinstance(getattr(self, name), numbers.Integral):
+            if not is_count(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be non-negative")

@@ -73,6 +73,13 @@ class TestIsRhoStationary:
         with pytest.raises(ValueError, match="rho"):
             is_rho_stationary(HALF_PARABOLA, uniform_lattice(1, 1.0), [0.0], rho=0.0)
 
+    @pytest.mark.parametrize("membership_tol", [math.nan, math.inf, -1.0])
+    def test_membership_tol_validated(self, membership_tol):
+        # nan or inf would snap the non-member 0.4 to 0 and call it stationary
+        with pytest.raises(ValueError, match="^membership_tol must be non-negative and finite"):
+            is_rho_stationary(HALF_PARABOLA, uniform_lattice(1, 1.0), [0.4], rho=1.0,
+                              membership_tol=membership_tol)
+
     def test_agrees_with_exhaustive_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(15):
@@ -527,6 +534,28 @@ class TestOracleThreads:
             assert brute_force_minimize(f, dset)[1] == 0.0
             assert enumerate_stationary_points(f, dset, rho=0.5).tolist() == [[0.0]]
 
+
+
+class TestOracleTraffic:
+    """Each oracle builds each chunk once, at every thread count."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("oracle", ["brute_force_minimize", "enumerate_stationary_points"])
+    def test_each_chunk_is_built_once(self, monkeypatch, tiny_chunks, cores, n, oracle):
+        cores(n)
+        dset = TestOracleThreads.LINE
+        # the zero-row limit check, then each of the 25 chunks
+        expected = sorted([(0, 0)] + analysis._chunk_ranges(dset, 100))
+        built, enumerate_members = [], DiscreteProductSet.enumerate_members
+
+        def spy(self, limit=10_000_000, start=0, stop=None):
+            built.append((start, stop))
+            return enumerate_members(self, limit, start, stop)
+
+        monkeypatch.setattr(DiscreteProductSet, "enumerate_members", spy)
+        f = QuadraticObjective([[1.0]], [0.0])
+        getattr(analysis, oracle)(*(f, dset) if oracle == "brute_force_minimize" else (f, dset, 0.5))
+        assert sorted(built) == expected
 
 class TestParameterConditions:
     def test_decrease_convex(self):

@@ -605,9 +605,9 @@ class TestSweep:
     @pytest.mark.parametrize(
         "protocol",
         [{"rho_grid": [-1]}, {"window": 0}, {"p_grid": [0]}, {"rho_grid": 5}, {"seed": -1},
-         {"seed": 1.5}],
+         {"seed": 1.5}, {"n_inits": True}, {"iters_admm": True}, {"seed": True}],
         ids=["rho-negative", "window-zero", "p-zero", "grid-not-a-list", "seed-negative",
-             "seed-fraction"],
+             "seed-fraction", "n-inits-true", "iters-admm-true", "seed-true"],
     )
     def test_bad_protocol_is_usage_error(self, tmp_path, capsys, protocol):
         path = tmp_path / "protocol.json"

@@ -131,6 +131,11 @@ class TestProjectionProperties:
         )
         assert dset.contains(dset.project(x))
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1.0])
+    def test_contains_rejects_a_bad_tolerance(self, tol):
+        with pytest.raises(ValueError, match="^tol must be non-negative and finite"):
+            uniform_lattice(1, 1.0).contains([0.4], tol=tol)
+
     def test_tie_determinism(self):
         dset = uniform_lattice(3, v=2.0)
         mid = np.array([1.0, -1.0, 3.0])  # all exact midpoints

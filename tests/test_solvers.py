@@ -1085,7 +1085,7 @@ class TestConfigValidation:
 
     @pytest.mark.parametrize(
         "bad", [dict(seed=-1), dict(seed=2.5), dict(init_scale=math.inf),
-                dict(init_scale=math.nan), dict(init_scale=-1.0)],
+                dict(init_scale=math.nan), dict(init_scale=-1.0), dict(seed=True)],
     )
     def test_seed_and_init_scale(self, bad):
         with pytest.raises(ValueError):
@@ -1095,11 +1095,16 @@ class TestConfigValidation:
         SolverConfig(seed=0, init_scale=0.0)
 
     @pytest.mark.parametrize("name", ["max_iters", "window", "trace_stride"])
-    @pytest.mark.parametrize("value", [10.5, 10.0, math.inf, math.nan, "10"])
+    @pytest.mark.parametrize("value", [10.5, 10.0, math.inf, math.nan, "10", True])
     def test_counts_must_be_integers(self, name, value):
         with pytest.raises(ValueError):
             SolverConfig(**{name: value})
         SolverConfig(**{name: np.int64(10)})
+
+    @pytest.mark.parametrize("value", [True, 2.5])
+    def test_inner_budget_must_be_an_integer(self, value):
+        with pytest.raises(ValueError, match="max_inner_iters"):
+            InnerSolverConfig(max_inner_iters=value)
 
     def test_inner_validation(self):
         with pytest.raises(ValueError):

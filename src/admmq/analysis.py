@@ -22,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .objectives import SmoothObjective
-from .sets import DiscreteProductSet, check_tol
+from .rng import check_real
+from .sets import DiscreteProductSet
 
 __all__ = [
     "StationarityReport",
@@ -57,12 +58,6 @@ class StationarityReport:
         return {**dataclasses.asdict(self), "candidate": self.candidate.tolist()}
 
 
-def _check_rho_tol(rho: float, tol: float):
-    if not (0 < rho < math.inf):
-        raise ValueError(f"rho must be positive and finite, got {rho}")
-    check_tol(tol)
-
-
 def is_rho_stationary(
     f: SmoothObjective,
     dset: DiscreteProductSet,
@@ -80,8 +75,9 @@ def is_rho_stationary(
     scalar set, with absolute tolerance ``tol``. A gradient step
     ``x - grad f(x) / rho`` that is not finite raises ValueError.
     """
-    _check_rho_tol(rho, tol)
-    check_tol(membership_tol, "membership_tol")
+    check_real(rho, "rho", positive=True)
+    check_real(tol, "tol")
+    check_real(membership_tol, "membership_tol")
     x = np.asarray(x, dtype=float)
     snapped = dset.project(x)
     if float(np.max(np.abs(x - snapped), initial=0.0)) > membership_tol:
@@ -236,7 +232,8 @@ def enumerate_stationary_points(
     in a block where the trap fires; if every step there is finite, the
     block is tested again with the trap off.
     """
-    _check_rho_tol(rho, tol)
+    check_real(rho, "rho", positive=True)
+    check_real(tol, "tol")
 
     def block_points(x):
         try:

@@ -40,6 +40,7 @@ from .experiments import (
     run_protocol,
     write_histogram_csv,
 )
+from .rng import check_count, check_real
 from .sets import DiscreteProductSet, ScaledLattice
 from .solvers import METHODS, DivergenceError, SolverConfig, SolverError, run
 
@@ -179,10 +180,8 @@ def cmd_solve(args) -> int:
 def cmd_sweep(args) -> int:
     if args.generate < 0 or bool(args.instances) == bool(args.generate):
         raise ValueError("pass either --instances DIR or --generate N with N >= 1")
-    if args.bins < 1:
-        raise ValueError(f"--bins must be positive, got {args.bins}")
-    if args.workers < 1:
-        raise ValueError(f"--workers must be positive, got {args.workers}")
+    check_count(args.bins, "--bins", least=1)
+    check_count(args.workers, "--workers", least=1)
     instances = []
     if args.instances:
         paths = sorted(Path(args.instances).glob("*.json"))
@@ -294,9 +293,8 @@ def cmd_bruteforce(args) -> int:
 def cmd_verify_conditions(args) -> int:
     # SolverConfig holds the rules for rho and gamma
     SolverConfig(**_given(rho=args.rho, gamma=args.gamma))
-    for flag, value in (("--Lf", args.Lf), ("--mu", args.mu)):
-        if not (0 <= value < math.inf):
-            raise ValueError(f"{flag} must be non-negative and finite, got {value}")
+    check_real(args.Lf, "--Lf")
+    check_real(args.mu, "--mu")
     with _prefixed(_OVERFLOW, (OverflowError,)):
         payload = {
             "L_f": args.Lf,

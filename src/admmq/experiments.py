@@ -17,6 +17,7 @@ import dataclasses
 import functools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
@@ -24,7 +25,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .objectives import QuadraticObjective
-from .rng import RunRng, check_seed, derive_seed, is_count
+from .rng import RunRng, check_count, check_real, derive_seed
 from .sets import DiscreteProductSet, uniform_lattice
 from .solvers import METHODS, SolverConfig, SolverError, run_lanes
 
@@ -69,15 +70,14 @@ class InstanceSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be positive")
-        if not (0 < self.v < math.inf):
-            raise ValueError(f"v must be positive and finite, got {self.v}")
-        if not (0 <= self.sigma_q_sq < math.inf):
-            raise ValueError(f"sigma_q_sq must be non-negative and finite, got {self.sigma_q_sq}")
+        if not isinstance(self.d, numbers.Number):  # a file's "d": "abc" is malformed
+            raise TypeError(f"d must be a number, got {self.d!r}")
+        check_count(self.d, "d", least=1)
+        check_real(self.v, "v", positive=True)
+        check_real(self.sigma_q_sq, "sigma_q_sq")
         if self.b_scale is not None and not math.isfinite(self.b_scale):
             raise ValueError(f"b_scale must be finite, got {self.b_scale}")
-        check_seed(self.seed)
+        check_count(self.seed, "seed")
 
     @property
     def effective_b_scale(self) -> float:
@@ -172,12 +172,11 @@ class ProtocolSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not is_count(self.n_inits) or self.n_inits < 1:
-            raise ValueError(f"n_inits must be a positive integer, got {self.n_inits}")
+        check_count(self.n_inits, "n_inits", least=1)
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        check_seed(self.seed)
+        check_count(self.seed, "seed")
         # every other value is checked where it is used: in a run's SolverConfig
         for algorithm in METHODS:
             for hyper in self.grid_for(algorithm):

@@ -1,28 +1,36 @@
-"""Per-run random streams.
+"""Per-run random streams, and the two rules every module checks its numbers by.
 
 Each solver run owns one 64-bit-seeded PCG64 stream; normal variates are
 produced by Box-Muller over that stream. Fixed seed means a bit-identical
 stream within this implementation (no cross-library guarantee).
+
+Every module checks its counts, seeds included, with :func:`check_count` (an
+integer of at least 0 or 1) and its real parameters with :func:`check_real`
+(finite, and positive or non-negative).
 """
 
 from __future__ import annotations
 
+import math
 import numbers
 
 import numpy as np
 
-__all__ = ["RunRng", "check_seed", "derive_seed", "is_count"]
+__all__ = ["RunRng", "check_count", "check_real", "derive_seed"]
 
 
-def is_count(value) -> bool:
-    """A count is an ``Integral`` that is not a ``bool``, which JSON ``true`` would be."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+def check_count(value, name: str, least: int = 0) -> None:
+    """Raise ValueError unless ``value`` is an ``Integral``, not a bool, of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise ValueError(
+            f"{name} must be a {'positive' if least else 'non-negative'} integer, got {value}")
 
 
-def check_seed(seed) -> None:
-    """Reject what numpy's seeding cannot take: a seed is a non-negative integer."""
-    if not is_count(seed) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+def check_real(value, name: str, positive: bool = False) -> None:
+    """Raise ValueError unless ``value`` is finite and positive, or non-negative if not positive."""
+    if not (0 < value < math.inf if positive else 0 <= value < math.inf):
+        raise ValueError(
+            f"{name} must be {'positive' if positive else 'non-negative'} and finite, got {value}")
 
 
 class RunRng:

@@ -23,6 +23,8 @@ from typing import Union
 
 import numpy as np
 
+from .rng import check_count, check_real
+
 __all__ = [
     "Binary",
     "ScaledLattice",
@@ -30,19 +32,12 @@ __all__ = [
     "CoordinateSet",
     "DiscreteProductSet",
     "binary_set",
-    "check_tol",
     "uniform_lattice",
 ]
 
 # Relative slack used when mapping real bounds onto lattice indices, so that
 # bounds that are "exact" multiples up to representation error are kept.
 _BOUND_RTOL = 1e-9
-
-
-def check_tol(tol: float, name: str = "tol") -> None:
-    """Reject a tolerance that is NaN, infinite or negative."""
-    if not (0 <= tol < math.inf):
-        raise ValueError(f"{name} must be non-negative and finite, got {tol}")
 
 
 @dataclass(frozen=True)
@@ -81,8 +76,7 @@ class ScaledLattice:
     b: float | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.v) and self.v > 0):
-            raise ValueError(f"lattice spacing must be positive and finite, got {self.v}")
+        check_real(self.v, "lattice spacing", positive=True)
         for name, bound in (("a", self.a), ("b", self.b)):
             if bound is not None and not math.isfinite(bound):
                 raise ValueError(f"bound {name} must be finite or None, got {bound}")
@@ -252,7 +246,7 @@ class DiscreteProductSet:
         return float(np.linalg.norm(x - self.project(x)))
 
     def contains(self, x, tol: float = 0.0) -> bool:
-        check_tol(tol)
+        check_real(tol, "tol")
         x = self._check_point(x)
         return bool(np.max(np.abs(x - self.project(x)), initial=0.0) <= tol)
 
@@ -272,10 +266,11 @@ class DiscreteProductSet:
 
         With no range, every member. Memory is O((stop - start) * dim), and
         any split of the rows into ranges gives, stacked, the same array as
-        one call. Fails, before allocating, if any coordinate is unbounded,
-        if the product cardinality exceeds ``limit``, or if the range is not
-        inside ``[0, cardinality]``.
+        one call. Fails, before allocating, if ``limit`` is not a count, if any
+        coordinate is unbounded, if the product cardinality exceeds ``limit``,
+        or if the range is not inside ``[0, cardinality]``.
         """
+        check_count(limit, "limit")
         counts = []
         for i, c in enumerate(self.coords):
             m = c.cardinality()

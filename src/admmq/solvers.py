@@ -41,7 +41,7 @@ from scipy.linalg import cho_factor
 from scipy.linalg.lapack import dpotrs
 
 from .objectives import QuadraticObjective, SmoothObjective
-from .rng import RunRng, check_seed, is_count
+from .rng import RunRng, check_count, check_real
 from .sets import DiscreteProductSet
 
 __all__ = [
@@ -114,11 +114,8 @@ class InnerSolverConfig:
     abs_grad_tol: float = 1e-12
 
     def __post_init__(self):
-        if not is_count(self.max_inner_iters) or self.max_inner_iters < 1:
-            raise ValueError(
-                f"max_inner_iters must be a positive integer, got {self.max_inner_iters}")
-        if not (self.abs_grad_tol > 0):
-            raise ValueError("abs_grad_tol must be positive")
+        check_count(self.max_inner_iters, "max_inner_iters", least=1)
+        check_real(self.abs_grad_tol, "abs_grad_tol", positive=True)
 
 
 @dataclass
@@ -137,26 +134,17 @@ class SolverConfig:
     trace_stride: int = 1
 
     def __post_init__(self):
-        if not (0 < self.rho < math.inf):
-            raise ValueError(f"rho must be positive and finite, got {self.rho}")
-        if not (0 <= self.gamma < math.inf):
-            raise ValueError(f"gamma must be non-negative and finite, got {self.gamma}")
-        if not (0 < self.beta < math.inf):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
+        check_real(self.rho, "rho", positive=True)
+        check_real(self.gamma, "gamma")
+        check_real(self.beta, "beta", positive=True)
         if not (0 < self.mask_prob <= 1):
             raise ValueError(f"mask_prob must be in (0, 1], got {self.mask_prob}")
-        for name in ("max_iters", "window", "trace_stride"):
-            if not is_count(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)}")
-        if self.max_iters < 0:
-            raise ValueError("max_iters must be non-negative")
-        check_seed(self.seed)
-        if self.init_scale is not None and not (0 <= self.init_scale < math.inf):
-            raise ValueError(f"init_scale must be non-negative and finite, got {self.init_scale}")
-        if self.window < 1:
-            raise ValueError("window must be positive")
-        if self.trace_stride < 1:
-            raise ValueError("trace_stride must be positive")
+        check_count(self.max_iters, "max_iters")
+        check_count(self.window, "window", least=1)
+        check_count(self.trace_stride, "trace_stride", least=1)
+        check_count(self.seed, "seed")
+        if self.init_scale is not None:
+            check_real(self.init_scale, "init_scale")
 
 
 @dataclass

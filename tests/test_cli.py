@@ -2,6 +2,8 @@ import contextlib
 import csv
 import io
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +12,8 @@ from hypothesis import strategies as st
 
 from admmq import cli
 from admmq.cli import main
-from admmq.solvers import METHODS, run
+from admmq.experiments import InstanceSpec
+from admmq.solvers import METHODS, InnerSolverConfig, SolverConfig, run
 
 INT_LATTICE = {"coords": [{"kind": "lattice", "v": 1.0, "a": None, "b": None}]}
 
@@ -328,6 +331,39 @@ def test_bad_parameter_is_usage_error(demo_path, capsys, argv):
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert "error:" in err and out == ""
+
+
+# each kind of site gives the whole message of rng.check_count or rng.check_real
+COUNT_AND_REAL_MESSAGES = {
+    "window": (lambda: SolverConfig(window=0), "window must be a positive integer, got 0"),
+    "trace-stride": (lambda: SolverConfig(trace_stride=0),
+                     "trace_stride must be a positive integer, got 0"),
+    "max-iters-negative": (lambda: SolverConfig(max_iters=-1),
+                           "max_iters must be a non-negative integer, got -1"),
+    "max-iters-fraction": (lambda: SolverConfig(max_iters=10.5),
+                           "max_iters must be a non-negative integer, got 10.5"),
+    "abs-grad-tol-inf": (lambda: InnerSolverConfig(abs_grad_tol=math.inf),
+                         "abs_grad_tol must be positive and finite, got inf"),
+    "d-zero": (lambda: InstanceSpec(d=0), "d must be a positive integer, got 0"),
+    "sweep-bins-zero": (["sweep", "--generate", "1", "--bins", "0"],
+                        "--bins must be a positive integer, got 0"),
+    "sweep-workers-zero": (["sweep", "--generate", "1", "--workers", "0"],
+                           "--workers must be a positive integer, got 0"),
+    "bruteforce-limit-negative": (["bruteforce", "--bounds", "-3", "3", "--limit", "-1"],
+                                  "limit must be a non-negative integer, got -1"),
+}
+
+
+@pytest.mark.parametrize("build, message", COUNT_AND_REAL_MESSAGES.values(),
+                         ids=COUNT_AND_REAL_MESSAGES)
+def test_count_and_real_messages(tmp_path, demo_path, capsys, build, message):
+    if callable(build):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build()
+        return
+    where = ["--instance", demo_path] if build[0] == "bruteforce" else ["--out", str(tmp_path)]
+    assert main([*build, *where]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 LOADING_COMMANDS = ["solve", "sweep", "bruteforce", "check-stationary"]

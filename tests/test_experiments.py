@@ -102,6 +102,12 @@ class TestGenerateInstance:
         for bad in (dict(v=math.inf), dict(sigma_q_sq=math.nan), dict(b_scale=math.inf)):
             with pytest.raises(ValueError):
                 InstanceSpec(d=2, **bad)
+        for d in (True, 2.5):
+            with pytest.raises(ValueError, match="^d "):
+                InstanceSpec(d=d)
+        with pytest.raises(TypeError):  # what a file's "d": "abc" gives; it reads as malformed
+            InstanceSpec(d="abc")
+        assert InstanceSpec(d=np.int64(3)).d == 3
 
 
 class TestProtocolSpec:

@@ -195,6 +195,17 @@ class TestEnumerate:
             dset.enumerate_members(limit=1023)
         assert dset.enumerate_members(limit=1024).shape == (1024, 10)
 
+    @pytest.mark.parametrize(
+        "dset, limit",
+        [(uniform_lattice(12, 1.0, -10.0, 10.0), math.nan),
+         (uniform_lattice(1, 1.0, 0.0, 0.0), True)],
+        ids=["nan", "true"],
+    )
+    def test_limit_is_a_count(self, dset, limit):
+        # NaN compares false with any size, and True would act as 1
+        with pytest.raises(ValueError, match=f"^limit must be a non-negative integer, got {limit}"):
+            dset.enumerate_members(limit=limit, start=0, stop=0)
+
     def test_members_unique(self):
         rng = np.random.default_rng(13)
         dset = random_product_set(rng, max_members=600)

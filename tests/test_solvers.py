@@ -1109,3 +1109,6 @@ class TestConfigValidation:
     def test_inner_validation(self):
         with pytest.raises(ValueError):
             InnerSolverConfig(max_inner_iters=0)
+        # an infinite floor would accept every start with no inner step
+        with pytest.raises(ValueError, match="abs_grad_tol"):
+            InnerSolverConfig(abs_grad_tol=math.inf)

@@ -173,14 +173,18 @@ class ProtocolSpec:
 
     def __post_init__(self):
         check_count(self.n_inits, "n_inits", least=1)
+        check_count(self.iters_admm, "iters_admm")
+        check_count(self.iters_pgd, "iters_pgd")
+        check_count(self.window, "window", least=1)
+        check_count(self.seed, "seed")
+        check_real(self.gamma, "gamma")
         for name in ("rho_grid", "beta_grid", "p_grid"):
             if len(getattr(self, name)) == 0:
                 raise ValueError(f"{name} must be non-empty")
-        check_count(self.seed, "seed")
-        # every other value is checked where it is used: in a run's SolverConfig
-        for algorithm in METHODS:
-            for hyper in self.grid_for(algorithm):
-                _make_config(algorithm, hyper, self, seed=0)
+            for value in getattr(self, name):
+                if name == "p_grid" and not 0 < value <= 1:
+                    raise ValueError(f"p_grid value must be in (0, 1], got {value}")
+                check_real(value, f"{name} value", positive=True)
 
     @classmethod
     def paper(cls, **overrides) -> "ProtocolSpec":
@@ -294,39 +298,26 @@ def _deal(items: list, k: int) -> list[list]:
 
 @functools.cache
 def _openblas() -> tuple:
-    """``(get_num_threads, set_num_threads)`` of each OpenBLAS library this process has mapped.
+    """``(get_num_threads, set_num_threads)`` of each OpenBLAS library the kernel calls.
 
-    The libraries are found among the mapped files of Linux's /proc, so
-    elsewhere the tuple is empty. A file that was deleted since it was mapped,
-    or that cannot be loaded, or that lacks the pair, adds nothing. The scan
-    runs once per process: numpy and scipy, whose libraries it finds, are
-    loaded when this module is.
+    They are looked up through the two extension modules that call OpenBLAS,
+    numpy's ``_multiarray_umath`` (matmul) and scipy's ``_flapack`` (the
+    x-solve's ``dpotrf``/``dpotrs``): ``dlsym`` on a module's handle searches
+    the libraries it links. A library both modules link is kept once.
     """
-    paths = set()
-    try:
-        with open("/proc/self/maps") as fh:
-            for line in fh:
-                fields = line.rstrip("\n").split(None, 5)  # the path may hold spaces
-                path = fields[5] if len(fields) == 6 else ""
-                if "openblas" in path.rsplit("/", 1)[-1] and not path.endswith(" (deleted)"):
-                    paths.add(path)
-    except OSError:
-        return ()
-    pairs = []
-    for path in sorted(paths):
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
+    from scipy.linalg import _flapack  # at the top, it raised the import's peak RSS by 1.3 MB
+    pairs = {}  # keyed by the address of set_num_threads: one pair per library
+    for module in (np._core._multiarray_umath, _flapack):
+        lib = ctypes.CDLL(module.__file__)
         for name in ("openblas_{}", "scipy_openblas_{}", "scipy_openblas_{}64_"):
             get = getattr(lib, name.format("get_num_threads"), None)
             put = getattr(lib, name.format("set_num_threads"), None)
             if get is not None and put is not None:
                 get.argtypes, get.restype = [], ctypes.c_int
                 put.argtypes, put.restype = [ctypes.c_int], None
-                pairs.append((get, put))
+                pairs.setdefault(ctypes.cast(put, ctypes.c_void_p).value, (get, put))
                 break
-    return tuple(pairs)
+    return tuple(pairs.values())
 
 
 @contextlib.contextmanager
@@ -339,8 +330,8 @@ def _one_blas_thread():
     one another: the default sweep of the README took 109 s at
     ``--workers 2`` on a 2-vCPU host with the default threads, and 21 s with
     one thread per worker. A single in-process block took the same wall
-    time on one thread as on two, with half the CPU. Where no OpenBLAS is
-    found (see :func:`_openblas`) the threads stay as they are.
+    time on one thread as on two, with half the CPU. Only the libraries that
+    :func:`_openblas` finds are set; any other BLAS keeps its threads.
     """
     libs = _openblas()
     before = [get() for get, _ in libs]

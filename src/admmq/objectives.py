@@ -26,6 +26,10 @@ __all__ = [
 class SmoothObjective(abc.ABC):
     """Contract for a differentiable objective with known smoothness constants.
 
+    A subclass defines ``value`` and ``gradient``. The ``*_rows`` methods
+    repeat them bit for bit; ``value_many`` and ``gradient_many`` default to
+    those, and an override of them may sum in another order.
+
     Attributes:
         dim: dimension of the argument vector.
         lipschitz_L: Lipschitz constant of the gradient.
@@ -45,13 +49,11 @@ class SmoothObjective(abc.ABC):
         raise NotImplementedError
 
     def value_many(self, X: np.ndarray) -> np.ndarray:
-        """Objective at each row of an (n, dim) array. Default: loop."""
-        X = np.asarray(X, dtype=float)
-        return np.array([self.value(row) for row in X])
+        """Objective at each row of an (n, dim) array. Default: ``value_rows``."""
+        return self.value_rows(np.asarray(X, dtype=float))
 
     def gradient_many(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        return np.stack([self.gradient(row) for row in X])
+        return self.gradient_rows(np.asarray(X, dtype=float))
 
     def value_rows(self, X: np.ndarray) -> np.ndarray:
         """``value`` of each row of an (n, dim) array, bit for bit. Default: loop.

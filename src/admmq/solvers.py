@@ -313,8 +313,8 @@ def _step_lanes(f, dset, X, Y, Lam, rho, rows: _Rows, masks=None):
     ``masks`` is True, with the old y kept elsewhere (admm-r's mask; other
     rows are all True), or, on a soft row, moved from z toward it by at most
     its radius (admm-s). Then it minimizes the Lagrangian in x (pgd: x = y)
-    and ascends lambda, which for pgd stays 0. ``rho`` is a number or a
-    column with one entry per lane; with pgd's lanes it is a column.
+    and ascends lambda, which for pgd stays 0. ``rho`` is a column with one
+    entry per lane.
 
     Returns the new X, Y and Lam, the inner steps per lane (None when every
     solve is direct), the projection, f of each row of Y, and ``{lane:
@@ -376,13 +376,15 @@ def _step_lanes(f, dset, X, Y, Lam, rho, rows: _Rows, masks=None):
     return X_new, Y_new, Lam, inner, Z_proj, fys, errors
 
 
-def _one_lane(f, dset, state: IterateState, rho: float, x_update, masks=None,
+def _one_lane(f, dset, state: IterateState, rho: float, x_update, gamma=None, masks=None,
               radius=None) -> IterateState:
     """The ADMM lane step at n = 1; a failure raises what a run raises at ``state.r + 1``."""
-    rows = _Rows([x_update], None if radius is None else np.full((1, 1), radius))
+    rows = _Rows([x_update or build_x_update(f, rho, gamma=gamma)],
+                 None if radius is None else np.full((1, 1), radius))
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         X, Y, Lam, inner, _, _, errors = _step_lanes(
-            f, dset, state.x[None], state.y[None], state.lam[None], rho, rows, masks
+            f, dset, state.x[None], state.y[None], state.lam[None], np.full((1, 1), float(rho)),
+            rows, masks,
         )
     if errors:
         raise errors[0].at(state.r + 1)
@@ -402,7 +404,6 @@ def admm_q_step(
     For quadratic objectives the x-block solves the SPD system
     ``(Q + rho I) x = rho y - lambda - b``.
     """
-    x_update = x_update or build_x_update(f, rho)
     return _one_lane(f, dset, state, rho, x_update)
 
 
@@ -419,8 +420,7 @@ def iadmm_q_step(
     With ``gamma = 0`` the certificate collapses to the absolute gradient
     floor and the trajectory matches the exact method to inner tolerance.
     """
-    x_update = x_update or build_x_update(f, rho, gamma=gamma)
-    return _one_lane(f, dset, state, rho, x_update)
+    return _one_lane(f, dset, state, rho, x_update, gamma=gamma)
 
 
 def admm_r_step(
@@ -438,9 +438,7 @@ def admm_r_step(
     from the run's seeded stream. Requires the product structure of the set:
     the blended y stays feasible because both candidates are members.
     """
-    x_update = x_update or build_x_update(f, rho)
-    mask = rng.bernoulli(mask_prob, dset.dim)
-    return _one_lane(f, dset, state, rho, x_update, masks=mask)
+    return _one_lane(f, dset, state, rho, x_update, masks=rng.bernoulli(mask_prob, dset.dim))
 
 
 def admm_s_step(
@@ -456,7 +454,6 @@ def admm_s_step(
     When ``beta/rho`` exceeds the distance to the set the update lands on the
     projection itself and the step coincides with the exact method.
     """
-    x_update = x_update or build_x_update(f, rho)
     return _one_lane(f, dset, state, rho, x_update, radius=beta / rho)
 
 

@@ -299,6 +299,23 @@ class TestOracleFailures:
         with pytest.raises(ValueError, match=r"at member \[9\.0\] \(row 9\)$"):
             enumerate_stationary_points(f, uniform_lattice(1, 1.0, 0.0, 20.0), rho=0.5)
 
+    def test_a_trap_with_every_step_finite_tests_the_block_again(self):
+        # the batched gradient overflows inside, to a term it multiplies by 0:
+        # the trap fires, yet every gradient step is finite
+        class Clipped(QuadraticObjective):
+            def gradient_many(self, X):
+                return super().gradient_many(X) + 0.0 * np.minimum(np.exp(1e3 * X), 1e300)
+
+        Q, b = [[2.0, 0.5], [0.5, 1.0]], [-1.0, 0.3]
+        dset = uniform_lattice(2, 1.0, -3.0, 3.0)
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            Clipped(Q, b).gradient_many(dset.enumerate_members())
+        for rho in (2.0, 5.0):  # 3 and 15 stationary points
+            expected = enumerate_stationary_points(QuadraticObjective(Q, b), dset, rho)
+            assert len(expected)
+            np.testing.assert_array_equal(
+                enumerate_stationary_points(Clipped(Q, b), dset, rho), expected)
+
     def test_all_infinite_values_take_the_first_member(self):
         f = QuadraticObjective([[1.0]], [0.0])
         f.value_many = lambda X: np.full(len(X), np.inf)

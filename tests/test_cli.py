@@ -514,6 +514,21 @@ class TestBruteforce:
                 "at member [10000000000.0, 10000000000.0]\n"
         )
 
+    def test_bounds_leave_binary_and_grid_coordinates_as_they_are(self, tmp_path, capsys):
+        # f = |x|^2 + b'x: the lattice coordinate wants 5, clamped to 3, and the
+        # grid coordinate takes 7, outside the bounds
+        coords = [{"kind": "lattice", "v": 1.0, "a": None, "b": None}, {"kind": "binary"},
+                  {"kind": "grid", "values": [-5.0, 0.5, 7.0]}]
+        inst = {"Q": np.diag([2.0] * 3).tolist(), "b": [-10.0, 2.6, -14.0],
+                "set": {"coords": coords}}
+        path = tmp_path / "mixed.json"
+        path.write_text(json.dumps(inst))
+        assert main(["bruteforce", "--instance", str(path), "--bounds", "-3", "3"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["argmin"] == [3.0, -1.0, 7.0]
+        assert payload["value"] == pytest.approx(-71.6)
+
+
 class TestVerifyConditions:
     def test_decrease_true(self, capsys):
         code = main(["verify-conditions", "--Lf", "1", "--mu", "0", "--rho", "1.5"])
@@ -594,6 +609,17 @@ class TestSweep:
         rows = list(csv.DictReader((tmp_path / "out" / "runs.csv").read_text().splitlines()))
         assert [(r["best_objective"], r["diverged"]) for r in rows] == [("nan", "1")] * 2
 
+    def test_algorithm_with_no_feasible_point_writes_no_histogram(self, tmp_path):
+        # pgd's step 1/rho = 100 diverges on every init; admm-q and gd-proj do not
+        protocol = tmp_path / "protocol.json"
+        protocol.write_text(json.dumps({"n_inits": 2, "rho_grid": [0.01], "iters_admm": 20}))
+        out = tmp_path / "out"
+        assert main(["sweep", "--generate", "1", "--d", "2", "--protocol", str(protocol),
+                     "--algorithms", "admm-q,pgd,gd-proj", "--out", str(out)]) == 0
+        rows = list(csv.DictReader((out / "runs.csv").read_text().splitlines()))
+        assert {r["diverged"] for r in rows if r["algorithm"] == "pgd"} == {"1"}
+        assert sorted(p.name for p in out.glob("hist_*")) == ["hist_admm-q_minus_gd-proj.csv"]
+
     def test_non_finite_instance_fails(self, tmp_path, capsys):
         inst_dir = tmp_path / "instances"
         inst_dir.mkdir()
@@ -653,6 +679,15 @@ class TestSweep:
         assert main(argv) == 2
         assert "error: bad protocol:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_bad_protocol_names_its_key(self, tmp_path, capsys):
+        path = tmp_path / "protocol.json"
+        path.write_text(json.dumps({"iters_admm": -1}))
+        argv = ["sweep", "--generate", "1", "--d", "2", "--protocol", str(path),
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: bad protocol: iters_admm must be a non-negative integer, got -1\n")
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_workers_below_one_is_usage_error(self, tmp_path, capsys, workers):

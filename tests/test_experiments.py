@@ -1,4 +1,4 @@
-import io
+import ctypes
 import json
 import math
 import multiprocessing
@@ -7,6 +7,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
+import scipy
 
 from admmq.experiments import (
     DEFAULT_BETA_GRID,
@@ -24,7 +25,7 @@ from admmq.experiments import (
 from admmq import experiments
 from admmq.experiments import _make_config, init_seed
 from admmq.rng import RunRng
-from admmq.sets import binary_set
+from admmq.sets import DiscreteProductSet, ExplicitGrid, ScaledLattice, binary_set
 from admmq.solvers import METHODS, SolverConfig, SolverError, run, run_lanes
 
 
@@ -180,7 +181,8 @@ class TestProtocolSpec:
         ],
     )
     def test_validation_of_values(self, bad):
-        with pytest.raises(ValueError):
+        (key,) = bad  # the message names the key that was given
+        with pytest.raises(ValueError, match=f"^{key} "):
             ProtocolSpec(**bad)
 
     def test_boundary_values_accepted(self):
@@ -361,12 +363,10 @@ def openblas_threads() -> list:
     return [get() for get, _ in experiments._openblas()]
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+@pytest.mark.skipif(not experiments._openblas(), reason="no OpenBLAS found")
 @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                     reason="the workers inherit the test's patches by fork")
 def test_pool_blocks_run_on_one_blas_thread_however_many_cores(monkeypatch, real_pool, tmp_path):
-    if not openblas_threads():
-        pytest.skip("no OpenBLAS loaded")
     inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
     seen = tmp_path / "threads.jsonl"
 
@@ -384,11 +384,9 @@ def test_pool_blocks_run_on_one_blas_thread_however_many_cores(monkeypatch, real
     assert blocks == [[1] * len(experiments._openblas())] * 2
 
 
-@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="finds OpenBLAS through /proc")
+@pytest.mark.skipif(not experiments._openblas(), reason="no OpenBLAS found")
 def test_in_process_sweep_runs_on_one_blas_thread(monkeypatch):
     libs = experiments._openblas()
-    if not libs:
-        pytest.skip("no OpenBLAS loaded")
     inst = generate_instance(InstanceSpec(d=3, sigma_q_sq=30.0, seed=12))
     inside = []
 
@@ -415,9 +413,61 @@ def test_in_process_sweep_runs_on_one_blas_thread(monkeypatch):
     assert after == after_failure == [2] * len(libs)
 
 
+class _DlInfo(ctypes.Structure):
+    _fields_ = [("dli_fname", ctypes.c_char_p), ("dli_fbase", ctypes.c_void_p),
+                ("dli_sname", ctypes.c_char_p), ("dli_saddr", ctypes.c_void_p)]
+
+
+def _file_of(function) -> str:
+    """The shared object that holds a ctypes function, by ``dladdr``."""
+    dladdr = ctypes.CDLL(None).dladdr
+    dladdr.argtypes, dladdr.restype = [ctypes.c_void_p, ctypes.POINTER(_DlInfo)], ctypes.c_int
+    info = _DlInfo()
+    assert dladdr(ctypes.cast(function, ctypes.c_void_p), ctypes.byref(info))
+    return os.path.realpath(info.dli_fname.decode())
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/maps"), reason="reads Linux's mapped files")
+def test_openblas_reaches_each_library_numpy_and_scipy_mapped_once():
+    # the oracle: every OpenBLAS file mapped from numpy's or scipy's own
+    # directories (numpy/, numpy.libs/, scipy/, scipy.libs/)
+    roots = tuple(os.path.dirname(os.path.realpath(m.__file__)) for m in (np, scipy))
+    mapped = set()
+    with open("/proc/self/maps") as fh:
+        for line in fh:
+            fields = line.rstrip("\n").split(None, 5)
+            path = os.path.realpath(fields[5]) if len(fields) == 6 else ""
+            if "openblas" in os.path.basename(path) and path.startswith(roots):
+                mapped.add(path)
+    if not mapped:
+        pytest.skip("numpy and scipy map no OpenBLAS of their own")
+    libs = experiments._openblas()
+    assert sorted(_file_of(put) for _, put in libs) == sorted(mapped)
+    before = openblas_threads()
+    try:
+        for get, put in libs:
+            put(1)
+            assert get() == 1
+    finally:
+        for (_, put), count in zip(libs, before):
+            put(count)
+    assert openblas_threads() == before
+    with experiments._one_blas_thread():
+        assert openblas_threads() == [1] * len(libs)
+    assert openblas_threads() == before
+
+
+def test_one_blas_thread_without_openblas_leaves_the_threads(monkeypatch):
+    libs = experiments._openblas()
+    before = openblas_threads()
+    monkeypatch.setattr(experiments, "_openblas", lambda: ())
+    with experiments._one_blas_thread():
+        assert [get() for get, _ in libs] == before
+
+
 @pytest.fixture
 def fresh_openblas_scan():
-    """Scan for OpenBLAS anew in the test, and again after it."""
+    """Look OpenBLAS up anew in the test, and again after it."""
     experiments._openblas.cache_clear()
     yield
     experiments._openblas.cache_clear()
@@ -425,30 +475,8 @@ def fresh_openblas_scan():
 
 def test_openblas_scan_is_cached(fresh_openblas_scan, monkeypatch):
     first = experiments._openblas()
-    monkeypatch.setattr(experiments, "open", None, raising=False)  # a second scan would raise
+    monkeypatch.setattr(experiments.ctypes, "CDLL", None)  # a second lookup would raise
     assert experiments._openblas() is first
-
-
-def test_openblas_scan_reads_paths_with_spaces(monkeypatch, fresh_openblas_scan):
-    maps = [
-        "7f0000000000-7f0000001000 r-xp 00000000 08:01 42     /opt/a b/libopenblas.so.0\n",
-        "7f0000001000-7f0000002000 r-xp 00000000 08:01 43     /opt/old/libopenblas.so (deleted)\n",
-        "7f0000002000-7f0000003000 rw-p 00000000 00:00 0 \n",
-        "7f0000003000-7f0000004000 r-xp 00000000 08:01 44     /usr/lib/libm.so.6\n",
-    ]
-    loaded = []
-
-    def cannot_load(path):
-        loaded.append(path)
-        raise OSError(f"{path}: cannot open shared object file")
-
-    monkeypatch.setattr(experiments, "open", lambda path: io.StringIO("".join(maps)),
-                        raising=False)
-    monkeypatch.setattr(experiments.ctypes, "CDLL", cannot_load)
-    assert experiments._openblas() == ()
-    assert loaded == ["/opt/a b/libopenblas.so.0"]  # the deleted file is not loaded
-    with experiments._one_blas_thread():  # leaves the threads as they are, and raises nothing
-        pass
 
 
 class TestLaneSweep:
@@ -642,6 +670,18 @@ class TestLaneSweep:
         protocol = tiny_protocol(rho_grid=(0.5, 50.0), beta_grid=(1e-3, 1e6))
         res = run_protocol(binary, ["admm-s"], protocol)
         assert_records_fresh(res, binary, protocol)
+
+    def test_a_grid_coordinate_keeps_every_admm_s_point(self, monkeypatch):
+        inst = generate_instance(InstanceSpec(d=2, sigma_q_sq=30.0, seed=13))
+        dset = DiscreteProductSet((ScaledLattice(8.0), ExplicitGrid((-8.0, 0.0, 5.0))))
+        assert dset.covering_radius() == math.inf
+        mixed = GeneratedInstance(inst.instance_id, inst.objective, dset, inst.spec)
+        protocol = tiny_protocol(rho_grid=(0.5, 50.0), beta_grid=(1e-3, 1e6))
+        calls = self.spy_lanes(monkeypatch)
+        res = run_protocol(mixed, ["admm-s"], protocol)
+        methods = [method for call in calls for method, _ in call]
+        assert methods == ["admm-s"] * 4 * protocol.n_inits  # beta/rho up to 2e6 runs its own
+        assert_records_fresh(res, mixed, protocol)
 
 
 class TestSweepOutputs:

@@ -30,6 +30,11 @@ class TestProject:
         np.testing.assert_array_equal(dset.project([5.2]), [3.0])
         np.testing.assert_array_equal(dset.project([-2.7]), [0.0])
 
+    def test_one_sided_lattice_clamps_one_side(self):
+        t = np.array([-7.1, 2.9, 10.0])
+        np.testing.assert_array_equal(ScaledLattice(2.0, b=3.0).project_values(t), [-8.0, 2.0, 2.0])
+        np.testing.assert_array_equal(ScaledLattice(2.0, a=-3.0).project_values(t), [-2.0, 2.0, 10.0])
+
     def test_lattice_midpoint_breaks_down(self):
         dset = uniform_lattice(1, v=8.0)
         np.testing.assert_array_equal(dset.project([4.0]), [0.0])
